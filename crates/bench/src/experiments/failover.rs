@@ -28,8 +28,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::FsCall;
-use v_fs::replica::{spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+use v_fs::client::{FsCall, FsClient, FsClientReport, StepTimer, StepTimes};
+use v_fs::replica::spawn_replica_group;
 use v_fs::{BlockStore, DiskModel, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, Pid};
 use v_sim::{SimDuration, SimTime};
@@ -42,8 +42,8 @@ const REPLICAS: usize = 3;
 const FILL: u8 = 0x7E;
 
 /// Builds the 3-replica + 1-client cluster and spawns the group,
-/// returning the cluster, replica pids and the client's report slot.
-fn replicated_setup(reads: u64) -> (Cluster, Rc<RefCell<ReplicaReport>>) {
+/// returning the cluster, the client's report slot and its step times.
+fn replicated_setup(reads: u64) -> (Cluster, Rc<RefCell<FsClientReport>>, Rc<RefCell<StepTimes>>) {
     let cfg = ClusterConfig::three_mb().with_hosts(REPLICAS + 1, CpuSpeed::Mc68000At10MHz);
     let mut cl = Cluster::new(cfg);
     let mut store = BlockStore::new();
@@ -66,30 +66,40 @@ fn replicated_setup(reads: u64) -> (Cluster, Rc<RefCell<ReplicaReport>>) {
             expect: FILL,
         });
     }
-    let rep = Rc::new(RefCell::new(ReplicaReport::default()));
+    let rep = Rc::new(RefCell::new(FsClientReport::default()));
+    let times = Rc::new(RefCell::new(StepTimes::default()));
+    let client = FsClient::replicas(pids, script, rep.clone());
     cl.spawn(
         HostId(REPLICAS),
         "failover-client",
-        Box::new(ReplicatedFsClient::new(pids, script, rep.clone())),
+        Box::new(StepTimer::new(client, times.clone())),
     );
-    (cl, rep)
+    (cl, rep, times)
+}
+
+/// One arm's results: the client's report and its per-step
+/// `(completed_at_ms, latency_ms)` series.
+struct Arm {
+    rep: FsClientReport,
+    op_ms: Vec<(f64, f64)>,
 }
 
 /// Runs one arm; `crash_at_ms` crashes replica 0's host mid-script
-/// (`None` = control). Returns the client's report and the crash time.
-fn run_arm(reads: u64, crash_at_ms: Option<f64>) -> ReplicaReport {
-    let (mut cl, rep) = replicated_setup(reads);
+/// (`None` = control).
+fn run_arm(reads: u64, crash_at_ms: Option<f64>) -> Arm {
+    let (mut cl, rep, times) = replicated_setup(reads);
     if let Some(at) = crash_at_ms {
         cl.run_until(SimTime::from_micros((at * 1000.0) as u64));
         cl.crash_host(HostId(0));
     }
     cl.run();
-    let r = rep.borrow().clone();
+    let rep = rep.borrow().clone();
     assert!(
-        r.fs.done && !r.gave_up && r.fs.integrity_errors == 0,
-        "failover arm failed: {r:?}"
+        rep.done && !rep.gave_up && rep.integrity_errors == 0,
+        "failover arm failed: {rep:?}"
     );
-    r
+    let op_ms = times.borrow().op_ms();
+    Arm { rep, op_ms }
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -161,8 +171,8 @@ pub fn failover_with_rounds(reads: u64) -> Comparison {
     c.push_ours("steady read, no-fault control", control_per_read, "ms");
     c.push_ours("failover spike (worst read)", spike, "ms");
     c.push_ours("reads absorbing the spike", 1.0, "reads");
-    c.push_ours("failovers", fault.failovers as f64, "switches");
-    c.push_ours("reads completed", fault.fs.completed as f64, "ops");
+    c.push_ours("failovers", fault.rep.failovers as f64, "switches");
+    c.push_ours("reads completed", fault.rep.completed as f64, "ops");
     c.push_ours("crash injected at", crash_at_ms, "ms");
 
     c.note("3 read-only replicas (cloned stores, identical file ids) + 1 client, one 3 Mb segment, 2 ms disk");

@@ -28,9 +28,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::{FsCall, FsClientReport};
+use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::disk::DiskModel;
-use v_fs::shard::{spawn_shard_server, ShardMap, ShardedFsClient};
+use v_fs::shard::{spawn_shard_server, ShardMap};
 use v_fs::store::BlockStore;
 use v_fs::{
     spawn_rebalancer, spawn_shard_service, FileServerConfig, RebalancerConfig, ShardHandle,
@@ -52,7 +52,7 @@ const FILE_BLOCKS: usize = 4;
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
     /// Today's sharded deployment: `spawn_shard_server`, plain
-    /// `ShardedFsClient`, no overlay, no agents.
+    /// sharded `FsClient`, no overlay, no agents.
     Baseline,
     /// Migration-capable services + overlay clients, rebalancer never
     /// started. Must be bit-identical to `Baseline`.
@@ -158,7 +158,7 @@ fn run_skew(arm: Arm, reads: u64) -> SkewOutcome {
         });
         script_len = script.len() as u64;
         let rep = Rc::new(RefCell::new(FsClientReport::default()));
-        let mut c = ShardedFsClient::with_servers(servers.clone(), script, rep.clone());
+        let mut c = FsClient::with_servers(servers.clone(), script, rep.clone());
         if arm != Arm::Baseline {
             c = c.with_overlay(overlay.clone());
         }

@@ -21,9 +21,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::{FsCall, FsClientReport};
+use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::disk::DiskModel;
-use v_fs::shard::{spawn_shard_server, ShardMap, ShardedFsClient};
+use v_fs::shard::{spawn_shard_server, ShardMap};
 use v_fs::store::BlockStore;
 use v_fs::{FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
@@ -102,11 +102,7 @@ fn run_placement(speed: CpuSpeed, reads_per_client: u64, partitioned: bool) -> (
         cl.spawn(
             HostId(3 + client),
             "shard-client",
-            Box::new(ShardedFsClient::with_servers(
-                servers.clone(),
-                script,
-                rep.clone(),
-            )),
+            Box::new(FsClient::with_servers(servers.clone(), script, rep.clone())),
         );
         reports.push(rep);
     }

@@ -4,10 +4,8 @@
 //! at 1983 RAM sizes; this module inverts the question. A workstation
 //! gets a configurable [`BlockCache`] (capacity in blocks, LRU
 //! eviction, keyed by `(file id, block)` so shard/replica id ranges
-//! partition naturally), layered into the read path of
-//! [`FsClient`],
-//! [`ShardedFsClient`](crate::shard::ShardedFsClient) and
-//! [`ReplicatedFsClient`](crate::replica::ReplicatedFsClient).
+//! partition naturally), layered into the read path of the scripted
+//! [`FsClient`] whatever its route (fixed server, shards or replicas).
 //!
 //! Consistency is the server's job, selected by [`CacheMode`]:
 //!

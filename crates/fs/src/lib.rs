@@ -25,21 +25,21 @@
 //!   receive and file-system processing on the next
 //!   ([`FileServerConfig::workers`]; `1` = the paper's sequential
 //!   server, bit-identical);
-//! * [`client`] — client-side helpers that format requests and drive
-//!   multi-step operations;
+//! * [`client`] — the stub routines that format requests, and the one
+//!   scripted [`FsClient`](client::FsClient) process with three routes: a fixed server,
+//!   a name-sharded service (owners resolved and cached per file), or
+//!   a read-only replica group (failover to the next replica);
 //! * [`shard`] — sharded file-service placement: a name-hash
 //!   [`ShardMap`] partitioning the directory over several servers (one
 //!   per segment of a mesh, typically), each registered under a
-//!   distinct logical id, and a [`ShardedFsClient`] that resolves and
-//!   caches the owning server per file;
+//!   distinct logical id, plus the migration [`ShardOverlay`];
 //! * [`loader`] — program loading exactly as §6.3 describes (one block
 //!   read for the header, then one large read via `MoveTo` into the new
 //!   program space) and the §7 exec server that runs programs *on* the
 //!   file server;
 //! * [`replica`] — a replicated *read-only* root: N identical replicas
-//!   spawned from clones of one [`BlockStore`] (so file ids agree
-//!   everywhere), and a [`ReplicatedFsClient`] that fails over to the
-//!   next replica when the kernel reports a replica's host down;
+//!   spawned from clones of one [`BlockStore`], so file ids agree
+//!   everywhere and a client can fail over between them;
 //! * [`cache`] — per-client block caching ([`BlockCache`] + the
 //!   invalidation [`CacheAgent`](cache::CacheAgent)) with a
 //!   write-invalidate or lease consistency protocol driven by the
@@ -69,15 +69,16 @@ pub mod store;
 pub mod team;
 
 pub use cache::{spawn_caching_client, BlockCache, CacheConfig, CacheMode, CacheStats};
+pub use client::ShardedFsClient;
 pub use disk::{DiskModel, DiskParams, DiskStats};
 pub use migrate::{spawn_shard_service, ShardService};
 pub use proto::{IoReply, IoRequest, IoStatus};
 pub use rebalance::{
     spawn_rebalancer, MigrationLedger, MoveRecord, Rebalancer, RebalancerConfig, ShardHandle,
 };
-pub use replica::{spawn_replica, spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+pub use replica::{spawn_replica, spawn_replica_group};
 pub use server::{FileHeat, FileServer, FileServerConfig, FileServerStats, HeatEntry};
-pub use shard::{spawn_shard_server, ShardMap, ShardOverlay, ShardedFsClient};
+pub use shard::{spawn_shard_server, ShardMap, ShardOverlay};
 pub use store::BlockStore;
 pub use team::{spawn_file_server, FileServerTeam};
 

@@ -427,11 +427,11 @@ impl Program for Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{FsCall, FsClientReport};
+    use crate::client::{FsCall, FsClient, FsClientReport};
     use crate::disk::DiskModel;
     use crate::migrate::spawn_shard_service;
     use crate::server::FileServerConfig;
-    use crate::shard::{ShardMap, ShardedFsClient};
+    use crate::shard::ShardMap;
     use crate::store::BlockStore;
     use crate::BLOCK_SIZE;
     use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
@@ -517,7 +517,7 @@ mod tests {
                 HostId(2 + i),
                 "client",
                 Box::new(
-                    ShardedFsClient::with_servers(servers.clone(), script, rep.clone())
+                    FsClient::with_servers(servers.clone(), script, rep.clone())
                         .with_overlay(overlay.clone()),
                 ),
             );
@@ -623,7 +623,7 @@ mod tests {
             HostId(2),
             "client",
             Box::new(
-                ShardedFsClient::with_servers(
+                FsClient::with_servers(
                     services.iter().map(|s| s.server).collect(),
                     script,
                     rep.clone(),

@@ -14,33 +14,32 @@
 //!   serving a *clone* of the same [`BlockStore`] with
 //!   [`FileServerConfig::read_only`] set, all registered under one
 //!   logical service id. Because the stores are clones, every replica
-//!   allocates identical [`FileId`]s — a file id obtained from one
+//!   allocates identical [`FileId`](crate::store::FileId)s — a file id obtained from one
 //!   replica is valid at every other, so failover never invalidates an
 //!   open file.
-//! * [`ReplicatedFsClient`] — a scripted client that directs every
-//!   operation at its current replica and **fails over** when the
-//!   kernel reports the replica's host down
-//!   (`KernelError::HostDown`, surfaced as `Outcome::Send(Err(_))`):
-//!   it advances to the next replica and re-issues the *same* script
-//!   step. Read-only semantics make the retry safe — a re-issued read
-//!   is idempotent by construction.
+//! * [`spawn_replica`] — one such replica, also used to re-create a
+//!   replica on a restarted host.
 //!
-//! The failover cost is visible in the client's [`ReplicaReport`]: one
-//! read absorbs the kernel's retransmission budget (the failure
-//! detector) before `HostDown` arrives, and every read after that is
-//! served at normal latency by the next replica. The `v-bench failover`
-//! experiment measures exactly that spike.
+//! Clients reach the group through the replica route of
+//! [`FsClient`](crate::client::FsClient)
+//! ([`FsClient::replicas`](crate::client::FsClient::replicas)): every
+//! operation goes to the current replica, and when the kernel reports
+//! its host down (`KernelError::HostDown`, surfaced as
+//! `Outcome::Send(Err(_))`) the client **fails over** — it advances to
+//! the next replica and re-issues the *same* script step. Read-only
+//! semantics make the retry safe: a re-issued read is idempotent by
+//! construction.
+//!
+//! The failover cost is one read that absorbs the kernel's
+//! retransmission budget (the failure detector) before `HostDown`
+//! arrives; every read after that is served at normal latency by the
+//! next replica. The `v-bench failover` experiment measures exactly
+//! that spike.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use v_kernel::{Cluster, HostId, Pid};
 
-use v_kernel::{Api, Cluster, HostId, Outcome, Pid, Program};
-use v_sim::SimTime;
-
-use crate::client::{check_reply, issue_call, FsCall, FsClientReport};
-use crate::proto::IoReply;
 use crate::server::FileServerConfig;
-use crate::store::{BlockStore, FileId};
+use crate::store::BlockStore;
 
 /// Spawns one read-only replica of `store` per host in `hosts`, each
 /// registered under `cfg.register` (the same logical service id for the
@@ -81,190 +80,4 @@ pub fn spawn_replica(
         ..cfg.clone()
     };
     crate::team::spawn_file_server(cl, host, cfg, store.clone()).server
-}
-
-/// What a [`ReplicatedFsClient`] run produced, over and above the plain
-/// script results.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaReport {
-    /// The ordinary script results (completions, protocol errors,
-    /// integrity checks, elapsed time).
-    pub fs: FsClientReport,
-    /// Times the client switched replicas after a `HostDown`.
-    pub failovers: u64,
-    /// True when every replica in turn failed and the client abandoned
-    /// the script (`fs.done` stays false).
-    pub gave_up: bool,
-    /// Per-operation `(completed_at_ms, latency_ms)` pairs in script
-    /// order, on the simulation clock — the raw series the failover
-    /// benchmark classifies into before / during / after the crash.
-    pub op_ms: Vec<(f64, f64)>,
-}
-
-/// A scripted client over a replica group, failing over on host death.
-///
-/// Runs the same [`FsCall`] scripts as [`crate::client::FsClient`]
-/// against a fixed list of replicas. All traffic goes to the *current*
-/// replica; when a send fails (`HostDown` after the kernel's
-/// retransmission budget, or any other kernel error), the client counts
-/// a failover, advances to the next replica round-robin, and re-issues
-/// the same step — file ids stay valid because replica stores are
-/// identical clones. After `2 × replicas` consecutive failed attempts
-/// (every replica tried twice with no answer) it gives up rather than
-/// cycle forever.
-pub struct ReplicatedFsClient {
-    replicas: Vec<Pid>,
-    current: usize,
-    script: Vec<FsCall>,
-    /// Shared results.
-    pub report: Rc<RefCell<ReplicaReport>>,
-    step: usize,
-    file: FileId,
-    started: Option<SimTime>,
-    issued_at: SimTime,
-    consecutive_failures: usize,
-    cache: Option<crate::cache::CacheLayer>,
-    pending_hit: Option<Vec<u8>>,
-}
-
-impl ReplicatedFsClient {
-    /// A client over `replicas` (tried in order, starting at the first).
-    pub fn new(
-        replicas: Vec<Pid>,
-        script: Vec<FsCall>,
-        report: Rc<RefCell<ReplicaReport>>,
-    ) -> ReplicatedFsClient {
-        assert!(!replicas.is_empty(), "need at least one replica");
-        ReplicatedFsClient {
-            replicas,
-            current: 0,
-            script,
-            report,
-            step: 0,
-            file: FileId(0),
-            started: None,
-            issued_at: SimTime::ZERO,
-            consecutive_failures: 0,
-            cache: None,
-            pending_hit: None,
-        }
-    }
-
-    /// Attaches a block cache to the read path. Replica stores are
-    /// clones, so file ids (the cache key) agree across replicas — a
-    /// cache warmed against one replica stays valid after failover.
-    pub fn with_cache(mut self, layer: crate::cache::CacheLayer) -> ReplicatedFsClient {
-        self.cache = Some(layer);
-        self
-    }
-
-    /// Issues the current step. `fresh` is false on a failover retry:
-    /// the step's recorded latency then spans from its *first* issue,
-    /// so the failure-detection wait shows up in the op series as the
-    /// client actually experienced it.
-    fn issue(&mut self, api: &mut Api<'_>, fresh: bool) {
-        let started = *self.started.get_or_insert(api.now());
-        let Some(call) = self.script.get(self.step).cloned() else {
-            let mut rep = self.report.borrow_mut();
-            rep.fs.done = true;
-            rep.fs.elapsed_ms = api.now().since(started).as_millis_f64();
-            drop(rep);
-            api.exit();
-            return;
-        };
-        if fresh {
-            self.issued_at = api.now();
-        }
-        let mut cache_agent = None;
-        if let Some(layer) = self.cache.as_mut() {
-            if let Some(data) = layer.try_hit(&call, self.file, api.now()) {
-                // A hit never touches the wire: no failover, no
-                // detection budget — served even while replicas die.
-                self.pending_hit = Some(data);
-                api.compute(layer.hit_cpu());
-                return;
-            }
-            layer.on_issue(&call, self.file);
-            cache_agent = Some(layer.agent_aux());
-        }
-        issue_call(
-            api,
-            &call,
-            self.file,
-            self.step as u16,
-            self.replicas[self.current],
-            cache_agent,
-        );
-    }
-
-    fn check(&mut self, api: &mut Api<'_>, reply: IoReply) {
-        let call = self.script[self.step].clone();
-        let mut rep = self.report.borrow_mut();
-        let latency = api.now().since(self.issued_at).as_millis_f64();
-        rep.op_ms.push((api.now().as_millis_f64(), latency));
-        if let Some(opened) = check_reply(api, &call, &reply, &mut rep.fs) {
-            self.file = opened;
-        }
-        drop(rep);
-        if let Some(layer) = self.cache.as_mut() {
-            layer.install_reply(api, &call, self.file, &reply, api.now());
-        }
-    }
-
-    /// Completes a cache hit through the shared check path (the hit's
-    /// latency — the per-hit CPU charge — lands in `op_ms` like any
-    /// other op).
-    fn finish_hit(&mut self, api: &mut Api<'_>, data: Vec<u8>) {
-        api.mem_write(crate::client::DATA_BUF, &data).expect("fits");
-        let reply = IoReply {
-            status: crate::proto::IoStatus::Ok,
-            file: self.file,
-            value: data.len() as u32,
-            aux: crate::proto::CACHE_DENY,
-            owner: 0,
-            tag: self.step as u16,
-        };
-        self.check(api, reply);
-        self.step += 1;
-        self.issue(api, true);
-    }
-}
-
-impl Program for ReplicatedFsClient {
-    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
-        match outcome {
-            Outcome::Started => self.issue(api, true),
-            Outcome::Send(Ok(reply)) => {
-                self.consecutive_failures = 0;
-                let reply = IoReply::decode(&reply);
-                self.check(api, reply);
-                self.step += 1;
-                self.issue(api, true);
-            }
-            Outcome::Send(Err(_)) => {
-                // The current replica's host is presumed down. Advance
-                // and re-issue the same step: reads against identical
-                // read-only stores are idempotent, so the retry is safe.
-                self.consecutive_failures += 1;
-                let mut rep = self.report.borrow_mut();
-                rep.failovers += 1;
-                if self.consecutive_failures >= 2 * self.replicas.len() {
-                    rep.gave_up = true;
-                    rep.fs.errors += 1;
-                    drop(rep);
-                    api.exit();
-                    return;
-                }
-                drop(rep);
-                self.current = (self.current + 1) % self.replicas.len();
-                self.issue(api, false);
-            }
-            Outcome::Compute if self.pending_hit.is_some() => {
-                self.consecutive_failures = 0;
-                let data = self.pending_hit.take().expect("hit in flight");
-                self.finish_hit(api, data);
-            }
-            _ => api.exit(),
-        }
-    }
 }

@@ -10,21 +10,25 @@
 //! * [`ShardMap`] — a deterministic directory partition: file *names*
 //!   hash to one of `N` shards, and each shard's file server
 //!   registers under a distinct well-known logical id;
-//! * [`ShardedFsClient`] — a scripted client that routes each open or
-//!   create to the owning shard by name, **caches the owning server per
-//!   file id** from the reply, and directs every later block operation
-//!   at the cached owner. Owners can be supplied directly or resolved
-//!   mesh-wide with broadcast `GetPid` (the flood crosses every gateway
-//!   of a `v_net::MeshConfig` topology);
+//! * [`ShardOverlay`] — per-file placement overrides recorded by the
+//!   rebalancer as migrations commit;
 //! * [`spawn_shard_server`] — places one shard's server process on a
 //!   host, registered under the shard's logical id.
+//!
+//! Clients reach the shards through the sharded route of
+//! [`FsClient`](crate::client::FsClient)
+//! ([`FsClient::with_servers`](crate::client::FsClient::with_servers) /
+//! [`FsClient::resolving`](crate::client::FsClient::resolving)): each
+//! open or create goes to the shard owning the name, the owning server
+//! is **cached per file id** from the reply, and every later block
+//! operation goes straight to the cached owner. Owners can be supplied
+//! directly or resolved mesh-wide with broadcast `GetPid` (the flood
+//! crosses every gateway of a `v_net::MeshConfig` topology).
 
 use std::collections::HashMap;
 
-use v_kernel::{naming::Scope, Api, Cluster, HostId, Outcome, Pid, Program};
+use v_kernel::{Cluster, HostId, Pid};
 
-use crate::client::{check_reply, issue_call, FsCall, FsClientReport};
-use crate::proto::IoReply;
 use crate::server::FileServerConfig;
 use crate::store::{BlockStore, FileId};
 
@@ -93,8 +97,8 @@ impl ShardMap {
     /// The file-id base shard `i`'s [`BlockStore`] should allocate from
     /// ([`BlockStore::with_id_range`], width
     /// [`ShardMap::id_range_width`]): disjoint ranges, so a file id
-    /// never collides across shards and the owner cache in
-    /// [`ShardedFsClient`] stays sound.
+    /// never collides across shards and the sharded client's owner
+    /// cache stays sound.
     pub fn id_base(&self, shard: usize) -> u16 {
         assert!(shard < self.shards, "shard {shard} of {}", self.shards);
         (shard * self.id_range_width()) as u16
@@ -125,7 +129,8 @@ impl ShardMap {
 /// client routes a request.
 ///
 /// Shared (`Rc<RefCell<…>>`) between the [`crate::rebalance::Rebalancer`]
-/// that writes it and the [`ShardedFsClient`]s that read it. A client
+/// that writes it and the sharded [`crate::client::FsClient`]s that read
+/// it ([`crate::client::FsClient::with_overlay`]). A client
 /// without the overlay still works — its stale request reaches the old
 /// owner, which `Forward`s it to the new one and the reply's `owner`
 /// stamp corrects the client's cache — the overlay just skips that
@@ -188,335 +193,10 @@ pub fn spawn_shard_server(
     crate::team::spawn_file_server(cl, host, cfg, store).server
 }
 
-/// How a [`ShardedFsClient`] learns the shard servers' pids.
-enum Owners {
-    /// Pids supplied up front (index = shard).
-    Given(Vec<Pid>),
-    /// Resolve each shard's logical id with broadcast `GetPid` before
-    /// running the script.
-    Resolving { resolved: Vec<Pid> },
-}
-
-/// A scripted client over a sharded file service.
-///
-/// Runs the same [`FsCall`] scripts as [`crate::client::FsClient`], but
-/// against `N` servers: opens and creates route to the shard owning the
-/// name, and the owning server is cached per returned file id so block
-/// reads and writes go straight to the right machine — the resolve cost
-/// is paid once per file, not per page.
-pub struct ShardedFsClient {
-    map: ShardMap,
-    owners: Owners,
-    script: Vec<FsCall>,
-    /// Shared results.
-    pub report: std::rc::Rc<std::cell::RefCell<FsClientReport>>,
-    step: usize,
-    file: FileId,
-    /// Owning server per file id, filled from open/create replies and
-    /// self-corrected from the `owner` stamp on forwarded replies.
-    owner_of: HashMap<u16, Pid>,
-    /// Server the in-flight request went to.
-    target: Option<Pid>,
-    started: Option<v_sim::SimTime>,
-    cache: Option<crate::cache::CacheLayer>,
-    pending_hit: Option<Vec<u8>>,
-    /// Committed-migration placement overrides, shared with the
-    /// rebalancer (see [`ShardOverlay`]).
-    overlay: Option<std::rc::Rc<std::cell::RefCell<ShardOverlay>>>,
-    /// A `RetryAfter` backoff is in flight for the current step.
-    pending_retry: bool,
-    /// Retries already burned on the current step.
-    retries_this_step: u32,
-    /// Consecutive `Send` failures (dead-host failover bookkeeping).
-    consecutive_failures: usize,
-}
-
-/// First backoff before re-issuing a write refused with
-/// [`crate::proto::IoStatus::RetryAfter`] — roughly one block copy of
-/// drain time; a healthy migration only freezes a file for a handful
-/// of these. The backoff doubles per refusal up to
-/// [`RETRY_BACKOFF_CAP_SHIFT`] doublings, so a drain stuck behind the
-/// kernel's host-down detection (seconds, not milliseconds, when the
-/// copy destination crashes mid-pull) is ridden out rather than
-/// declared an error.
-const RETRY_BACKOFF: v_sim::SimDuration = v_sim::SimDuration::from_millis(2);
-/// Doublings of [`RETRY_BACKOFF`] before the backoff plateaus (2 ms →
-/// 64 ms).
-const RETRY_BACKOFF_CAP_SHIFT: u32 = 5;
-/// Retries per step before the client gives up and counts an error.
-/// With the plateaued backoff this spans several seconds — past the
-/// worst-case abort latency — so a drain that outlives it is a stuck
-/// migration, not back-pressure.
-const MAX_RETRIES_PER_STEP: u32 = 64;
-
-impl ShardedFsClient {
-    /// A client with the shard servers' pids supplied directly.
-    pub fn with_servers(
-        servers: Vec<Pid>,
-        script: Vec<FsCall>,
-        report: std::rc::Rc<std::cell::RefCell<FsClientReport>>,
-    ) -> ShardedFsClient {
-        assert!(!servers.is_empty(), "need at least one shard server");
-        ShardedFsClient {
-            map: ShardMap::new(servers.len()),
-            owners: Owners::Given(servers),
-            script,
-            report,
-            step: 0,
-            file: FileId(0),
-            owner_of: HashMap::new(),
-            target: None,
-            started: None,
-            cache: None,
-            pending_hit: None,
-            overlay: None,
-            pending_retry: false,
-            retries_this_step: 0,
-            consecutive_failures: 0,
-        }
-    }
-
-    /// A client that first resolves all `shards` logical ids with
-    /// broadcast `GetPid` (flooded mesh-wide on a multi-segment
-    /// topology), then runs the script.
-    pub fn resolving(
-        shards: usize,
-        script: Vec<FsCall>,
-        report: std::rc::Rc<std::cell::RefCell<FsClientReport>>,
-    ) -> ShardedFsClient {
-        ShardedFsClient {
-            map: ShardMap::new(shards),
-            owners: Owners::Resolving {
-                resolved: Vec::new(),
-            },
-            script,
-            report,
-            step: 0,
-            file: FileId(0),
-            owner_of: HashMap::new(),
-            target: None,
-            started: None,
-            cache: None,
-            pending_hit: None,
-            overlay: None,
-            pending_retry: false,
-            retries_this_step: 0,
-            consecutive_failures: 0,
-        }
-    }
-
-    /// Attaches the shared placement overlay: committed migrations are
-    /// routed directly (no forwarding hop), and block operations can
-    /// fail over to a file's new owner when the old one is dead.
-    pub fn with_overlay(
-        mut self,
-        overlay: std::rc::Rc<std::cell::RefCell<ShardOverlay>>,
-    ) -> ShardedFsClient {
-        self.overlay = Some(overlay);
-        self
-    }
-
-    /// Attaches a block cache to the read path. Cached blocks are keyed
-    /// by file id, which [`ShardMap::id_base`] keeps disjoint across
-    /// shards — one cache serves every shard without collisions.
-    pub fn with_cache(mut self, layer: crate::cache::CacheLayer) -> ShardedFsClient {
-        self.cache = Some(layer);
-        self
-    }
-
-    fn servers(&self) -> &[Pid] {
-        match &self.owners {
-            Owners::Given(s) => s,
-            Owners::Resolving { resolved } => resolved,
-        }
-    }
-
-    /// The server a block operation on the current file should go to:
-    /// the cached owner; else the shared overlay (a committed migration
-    /// the rebalancer recorded); else — when both are cold (an open
-    /// failed, or a script skipped its open) — the shard the file id's
-    /// range belongs to ([`ShardMap::id_base`] allocates disjoint
-    /// ranges), so a bad script degrades to a server-side error, never
-    /// a panic. Cached-owner-first keeps the non-migrating path
-    /// bit-identical to the overlay-less client.
-    fn owner_for_current_file(&self) -> Pid {
-        self.owner_of
-            .get(&self.file.0)
-            .copied()
-            .or_else(|| {
-                self.overlay
-                    .as_ref()
-                    .and_then(|o| o.borrow().owner_of_id(self.file))
-            })
-            .unwrap_or_else(|| self.servers()[self.map.shard_of_id(self.file)])
-    }
-
-    fn issue(&mut self, api: &mut Api<'_>) {
-        let started = *self.started.get_or_insert(api.now());
-        let Some(call) = self.script.get(self.step).cloned() else {
-            let mut rep = self.report.borrow_mut();
-            rep.done = true;
-            rep.elapsed_ms = api.now().since(started).as_millis_f64();
-            drop(rep);
-            api.exit();
-            return;
-        };
-        let mut cache_agent = None;
-        if let Some(layer) = self.cache.as_mut() {
-            if let Some(data) = layer.try_hit(&call, self.file, api.now()) {
-                self.pending_hit = Some(data);
-                api.compute(layer.hit_cpu());
-                return;
-            }
-            layer.on_issue(&call, self.file);
-            cache_agent = Some(layer.agent_aux());
-        }
-        let owner = match &call {
-            FsCall::Open(name) | FsCall::Create(name, _) => self
-                .overlay
-                .as_ref()
-                .and_then(|o| o.borrow().owner_of_name(name))
-                .unwrap_or_else(|| self.servers()[self.map.shard_of_name(name)]),
-            _ => self.owner_for_current_file(),
-        };
-        self.target = Some(owner);
-        issue_call(api, &call, self.file, self.step as u16, owner, cache_agent);
-    }
-
-    fn check(&mut self, api: &mut Api<'_>, reply: IoReply) {
-        let call = self.script[self.step].clone();
-        let mut rep = self.report.borrow_mut();
-        if let Some(opened) = check_reply(api, &call, &reply, &mut rep) {
-            self.file = opened;
-            // Cache the owner: every later block operation on this file
-            // goes straight to the server that answered the open.
-            self.owner_of
-                .insert(opened.0, self.target.expect("request in flight"));
-        }
-        // Owner-cache self-correction: a reply stamped by a different
-        // service than we targeted means the request chased a migrated
-        // file through a `Forward` — point the cache at the service
-        // that actually answered, so the next op skips the hop.
-        if let Some(actual) = Pid::from_raw(reply.owner) {
-            if self.target.is_some_and(|t| t != actual) {
-                rep.stale_owner_forwards += 1;
-                let key = match &call {
-                    FsCall::Open(_) | FsCall::Create(_, _) => reply.file.0,
-                    _ => self.file.0,
-                };
-                self.owner_of.insert(key, actual);
-            }
-        }
-        drop(rep);
-        if let Some(layer) = self.cache.as_mut() {
-            layer.install_reply(api, &call, self.file, &reply, api.now());
-        }
-    }
-
-    /// Completes a cache hit exactly like [`crate::client::FsClient`]:
-    /// deposit the bytes, synthesize an `Ok` reply, run the shared
-    /// check path.
-    fn finish_hit(&mut self, api: &mut Api<'_>, data: Vec<u8>) {
-        api.mem_write(crate::client::DATA_BUF, &data).expect("fits");
-        let reply = IoReply {
-            status: crate::proto::IoStatus::Ok,
-            file: self.file,
-            value: data.len() as u32,
-            aux: crate::proto::CACHE_DENY,
-            owner: 0,
-            tag: self.step as u16,
-        };
-        self.check(api, reply);
-        self.step += 1;
-        self.issue(api);
-    }
-}
-
-impl Program for ShardedFsClient {
-    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
-        match outcome {
-            Outcome::Started => match &self.owners {
-                Owners::Resolving { .. } => {
-                    api.get_pid(self.map.logical_id(0), Scope::Both);
-                }
-                Owners::Given(_) => self.issue(api),
-            },
-            Outcome::GetPid(found) => {
-                let Owners::Resolving { resolved } = &mut self.owners else {
-                    api.exit();
-                    return;
-                };
-                let Some(pid) = found else {
-                    self.report.borrow_mut().errors += 1;
-                    api.exit();
-                    return;
-                };
-                resolved.push(pid);
-                if resolved.len() < self.map.shards() {
-                    let next = self.map.logical_id(resolved.len());
-                    api.get_pid(next, Scope::Both);
-                } else {
-                    self.issue(api);
-                }
-            }
-            Outcome::Send(Ok(reply)) => {
-                self.consecutive_failures = 0;
-                let reply = IoReply::decode(&reply);
-                if reply.status == crate::proto::IoStatus::RetryAfter {
-                    // The file is draining for migration: back off and
-                    // re-issue the same step. Not a failure — the op
-                    // still completes exactly once, at whichever owner
-                    // holds the file by then.
-                    if self.retries_this_step < MAX_RETRIES_PER_STEP {
-                        let shift = self.retries_this_step.min(RETRY_BACKOFF_CAP_SHIFT);
-                        self.retries_this_step += 1;
-                        self.report.borrow_mut().write_retries += 1;
-                        self.pending_retry = true;
-                        api.delay(RETRY_BACKOFF * (1u64 << shift));
-                        return;
-                    }
-                    // Stuck drain: record the failure and move on.
-                    self.report.borrow_mut().errors += 1;
-                } else {
-                    self.check(api, reply);
-                }
-                self.retries_this_step = 0;
-                self.step += 1;
-                self.issue(api);
-            }
-            Outcome::Send(Err(_)) => {
-                // The targeted server's host is down. Drop the stale
-                // owner-cache entry and re-issue the same step — the
-                // overlay (or the id-range fallback) routes it to the
-                // file's current owner. Bounded: after `2 × shards`
-                // consecutive dead ends, give up on the script.
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= 2 * self.map.shards().max(1) {
-                    self.report.borrow_mut().errors += 1;
-                    api.exit();
-                    return;
-                }
-                self.report.borrow_mut().owner_failovers += 1;
-                self.owner_of.remove(&self.file.0);
-                self.issue(api);
-            }
-            Outcome::Delay if self.pending_retry => {
-                self.pending_retry = false;
-                self.issue(api);
-            }
-            Outcome::Compute if self.pending_hit.is_some() => {
-                self.consecutive_failures = 0;
-                let data = self.pending_hit.take().expect("hit in flight");
-                self.finish_hit(api, data);
-            }
-            _ => api.exit(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{FsCall, FsClient, FsClientReport};
     use crate::disk::DiskModel;
     use crate::server::FileServer;
     use crate::BLOCK_SIZE;
@@ -593,7 +273,7 @@ mod tests {
         cl.spawn(
             HostId(3),
             "shardclient",
-            Box::new(ShardedFsClient::resolving(3, script, rep.clone())),
+            Box::new(FsClient::resolving(3, script, rep.clone())),
         );
         cl.run();
 
@@ -609,7 +289,7 @@ mod tests {
 
     /// A failed open followed by block operations must degrade to
     /// server-side errors (routed by the file id's shard range), never
-    /// panic — matching `FsClient` on the same bad script.
+    /// panic — matching the fixed route on the same bad script.
     #[test]
     fn failed_open_degrades_to_errors_not_a_panic() {
         let map = ShardMap::new(2);
@@ -642,7 +322,7 @@ mod tests {
         cl.spawn(
             HostId(2),
             "client",
-            Box::new(ShardedFsClient::with_servers(servers, script, rep.clone())),
+            Box::new(FsClient::with_servers(servers, script, rep.clone())),
         );
         cl.run();
         let r = rep.borrow().clone();
@@ -701,7 +381,7 @@ mod tests {
         cl.spawn(
             HostId(2),
             "client",
-            Box::new(ShardedFsClient::with_servers(servers, script, rep.clone())),
+            Box::new(FsClient::with_servers(servers, script, rep.clone())),
         );
         cl.run();
         let r = rep.borrow().clone();

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use v_fs::cache::{CacheAgent, CacheLayer};
 use v_fs::client::{FsCall, FsClient, FsClientReport};
-use v_fs::replica::{spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+use v_fs::replica::spawn_replica_group;
 use v_fs::{
     spawn_caching_client, spawn_file_server, BlockCache, BlockStore, CacheConfig, CacheMode,
     DiskModel, FileServerConfig, BLOCK_SIZE,
@@ -275,11 +275,11 @@ fn warm_cache_serves_hits_across_a_replica_crash() {
         agent,
         CacheConfig::write_invalidate(16).hit_cpu,
     );
-    let rep = Rc::new(RefCell::new(ReplicaReport::default()));
+    let rep = Rc::new(RefCell::new(FsClientReport::default()));
     cl.spawn(
         HostId(2),
         "replclient",
-        Box::new(ReplicatedFsClient::new(pids.to_vec(), script, rep.clone()).with_cache(layer)),
+        Box::new(FsClient::replicas(pids.to_vec(), script, rep.clone()).with_cache(layer)),
     );
     // Warm completes well before 100 ms; the hit grind runs for
     // hundreds of ms after it. Kill the primary mid-grind.
@@ -288,9 +288,9 @@ fn warm_cache_serves_hits_across_a_replica_crash() {
     cl.run();
 
     let r = rep.borrow().clone();
-    assert!(r.fs.done && !r.gave_up, "{r:?}");
-    assert_eq!(r.fs.integrity_errors, 0, "{r:?}");
-    assert_eq!(r.fs.completed, ops, "{r:?}");
+    assert!(r.done && !r.gave_up, "{r:?}");
+    assert_eq!(r.integrity_errors, 0, "{r:?}");
+    assert_eq!(r.completed, ops, "{r:?}");
     assert_eq!(
         r.failovers, 1,
         "only the first post-crash miss touches the wire: {r:?}"

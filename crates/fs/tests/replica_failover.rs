@@ -9,8 +9,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::FsCall;
-use v_fs::replica::{spawn_replica, spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+use v_fs::client::{FsCall, FsClient, FsClientReport, StepTimer, StepTimes};
+use v_fs::replica::{spawn_replica, spawn_replica_group};
 use v_fs::{BlockStore, DiskModel, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, Pid};
 use v_sim::{SimDuration, SimTime};
@@ -60,12 +60,12 @@ fn spawn_client(
     host: HostId,
     pids: &[Pid],
     script: Vec<FsCall>,
-) -> Rc<RefCell<ReplicaReport>> {
-    let rep = Rc::new(RefCell::new(ReplicaReport::default()));
+) -> Rc<RefCell<FsClientReport>> {
+    let rep = Rc::new(RefCell::new(FsClientReport::default()));
     cl.spawn(
         host,
         "replclient",
-        Box::new(ReplicatedFsClient::new(pids.to_vec(), script, rep.clone())),
+        Box::new(FsClient::replicas(pids.to_vec(), script, rep.clone())),
     );
     rep
 }
@@ -92,10 +92,10 @@ fn replica_refuses_writes_and_keeps_data_intact() {
     let rep = spawn_client(&mut cl, HostId(1), &pids, script);
     cl.run();
     let r = rep.borrow().clone();
-    assert!(r.fs.done, "{r:?}");
-    assert_eq!(r.fs.errors, 1, "exactly the write is refused: {r:?}");
-    assert_eq!(r.fs.integrity_errors, 0, "{r:?}");
-    assert_eq!(r.fs.completed, 2, "open + read succeed: {r:?}");
+    assert!(r.done, "{r:?}");
+    assert_eq!(r.errors, 1, "exactly the write is refused: {r:?}");
+    assert_eq!(r.integrity_errors, 0, "{r:?}");
+    assert_eq!(r.completed, 2, "open + read succeed: {r:?}");
     assert_eq!(r.failovers, 0);
 }
 
@@ -113,14 +113,14 @@ fn client_fails_over_across_a_replica_crash() {
     cl.crash_host(HostId(0));
     cl.run();
     let r = rep.borrow().clone();
-    assert!(r.fs.done, "script must finish despite the crash: {r:?}");
+    assert!(r.done, "script must finish despite the crash: {r:?}");
     assert!(!r.gave_up, "{r:?}");
     assert!(r.failovers >= 1, "the crash must be noticed: {r:?}");
     assert_eq!(
-        r.fs.integrity_errors, 0,
+        r.integrity_errors, 0,
         "clone stores serve identical data: {r:?}"
     );
-    assert_eq!(r.fs.completed, 41, "open + 40 reads: {r:?}");
+    assert_eq!(r.completed, 41, "open + 40 reads: {r:?}");
     assert!(
         cl.kernel_stats(HostId(3)).host_down_failures >= 1,
         "failover must ride on the kernel's HostDown detection"
@@ -133,47 +133,78 @@ fn client_fails_over_across_a_replica_crash() {
 #[test]
 fn failover_latency_spike_is_confined_to_one_operation() {
     let (mut cl, pids) = replicated_cluster(2, 1);
-    let rep = spawn_client(&mut cl, HostId(2), &pids, read_script(40));
+    let rep = Rc::new(RefCell::new(FsClientReport::default()));
+    let times = Rc::new(RefCell::new(StepTimes::default()));
+    let client = FsClient::replicas(pids, read_script(40), rep.clone());
+    cl.spawn(
+        HostId(2),
+        "replclient",
+        Box::new(StepTimer::new(client, times.clone())),
+    );
     cl.run_until(SimTime::from_millis(60));
     cl.crash_host(HostId(0));
     cl.run();
     let r = rep.borrow().clone();
-    assert!(r.fs.done && !r.gave_up, "{r:?}");
-    let spikes: Vec<&(f64, f64)> = r.op_ms.iter().filter(|(_, lat)| *lat > 100.0).collect();
+    assert!(r.done && !r.gave_up, "{r:?}");
+    let op_ms = times.borrow().op_ms();
+    let spikes: Vec<&(f64, f64)> = op_ms.iter().filter(|(_, lat)| *lat > 100.0).collect();
     assert_eq!(
         spikes.len(),
         1,
-        "exactly one read absorbs the failure-detection wait: {:?}",
-        r.op_ms
+        "exactly one read absorbs the failure-detection wait: {op_ms:?}"
     );
     // After the spike, latency settles back to the no-fault regime.
-    let after_spike = r.op_ms.iter().rev().take(5);
+    let after_spike = op_ms.iter().rev().take(5);
     for (_, lat) in after_spike {
-        assert!(
-            *lat < 100.0,
-            "post-failover reads are normal: {:?}",
-            r.op_ms
-        );
+        assert!(*lat < 100.0, "post-failover reads are normal: {op_ms:?}");
     }
 }
 
 /// When every replica is dead the client gives up with `gave_up` —
-/// bounded retries, no infinite replica carousel, no hang.
+/// bounded retries, no infinite replica carousel, no hang. The same
+/// bound holds for a sharded client whose shards are all dead; a
+/// fixed-route client has nowhere to fail over, so its first `Send`
+/// error is final.
 #[test]
 fn client_gives_up_when_all_replicas_are_down() {
-    let (mut cl, pids) = replicated_cluster(2, 1);
-    let rep = spawn_client(&mut cl, HostId(2), &pids, read_script(40));
-    cl.run_until(SimTime::from_millis(60));
-    cl.crash_host(HostId(0));
-    cl.crash_host(HostId(1));
-    cl.run();
-    let r = rep.borrow().clone();
-    assert!(r.gave_up, "{r:?}");
-    assert!(!r.fs.done, "the script cannot have finished: {r:?}");
-    assert!(
-        r.failovers >= 2 * pids.len() as u64,
-        "every replica tried before giving up: {r:?}"
-    );
+    type Build = fn(&[Pid], Vec<FsCall>, Rc<RefCell<FsClientReport>>) -> FsClient;
+    let routes: [(&str, usize, Build); 3] = [
+        ("replicas", 2, |p, s, r| {
+            FsClient::replicas(p.to_vec(), s, r)
+        }),
+        ("two shards", 2, |p, s, r| {
+            FsClient::with_servers(p.to_vec(), s, r)
+        }),
+        ("fixed", 1, |p, s, r| FsClient::new(p[0], s, r)),
+    ];
+    for (route, servers, build) in routes {
+        let (mut cl, pids) = replicated_cluster(servers, 1);
+        let rep = Rc::new(RefCell::new(FsClientReport::default()));
+        cl.spawn(
+            HostId(servers),
+            "client",
+            Box::new(build(&pids, read_script(40), rep.clone())),
+        );
+        cl.run_until(SimTime::from_millis(60));
+        for host in 0..servers {
+            cl.crash_host(HostId(host));
+        }
+        cl.run();
+        let r = rep.borrow().clone();
+        assert!(!r.done, "{route}: the script cannot have finished: {r:?}");
+        if route == "fixed" {
+            assert!(!r.gave_up, "{route}: {r:?}");
+            assert_eq!(r.errors, 1, "{route}: one final error: {r:?}");
+            assert_eq!(r.failovers, 0, "{route}: {r:?}");
+            continue;
+        }
+        assert!(r.gave_up, "{route}: {r:?}");
+        assert_eq!(
+            r.failovers,
+            2 * pids.len() as u64,
+            "{route}: every server tried twice, a failover per attempt: {r:?}"
+        );
+    }
 }
 
 /// Failover under load: several clients hammer the group when the
@@ -191,10 +222,10 @@ fn replica_group_survives_a_crash_under_concurrent_load() {
     cl.run();
     for (i, rep) in reps.iter().enumerate() {
         let r = rep.borrow().clone();
-        assert!(r.fs.done, "client {i} must finish: {r:?}");
+        assert!(r.done, "client {i} must finish: {r:?}");
         assert!(!r.gave_up, "client {i}: {r:?}");
-        assert_eq!(r.fs.integrity_errors, 0, "client {i}: {r:?}");
-        assert_eq!(r.fs.completed, 31, "client {i}: {r:?}");
+        assert_eq!(r.integrity_errors, 0, "client {i}: {r:?}");
+        assert_eq!(r.completed, 31, "client {i}: {r:?}");
         assert!(
             r.failovers >= 1,
             "client {i} was mid-script on the primary: {r:?}"
@@ -213,7 +244,7 @@ fn restarted_host_serves_a_respawned_replica() {
     cl.run_until(SimTime::from_millis(60));
     cl.crash_host(HostId(0));
     cl.run();
-    assert!(rep.borrow().fs.done, "first client fails over and finishes");
+    assert!(rep.borrow().done, "first client fails over and finishes");
 
     // Restart the dead host and respawn its replica — the kernel
     // remembers nothing, so registration happens afresh.
@@ -226,7 +257,7 @@ fn restarted_host_serves_a_respawned_replica() {
     let rep2 = spawn_client(&mut cl, HostId(3), &order, read_script(10));
     cl.run();
     let r = rep2.borrow().clone();
-    assert!(r.fs.done, "{r:?}");
-    assert_eq!(r.fs.integrity_errors, 0, "{r:?}");
+    assert!(r.done, "{r:?}");
+    assert_eq!(r.integrity_errors, 0, "{r:?}");
     assert_eq!(r.failovers, 0, "the reborn replica serves directly: {r:?}");
 }

@@ -5,12 +5,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::{FsCall, FsClientReport};
+use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::disk::DiskModel;
 use v_fs::store::BlockStore;
 use v_fs::{
     spawn_rebalancer, spawn_shard_service, FileServerConfig, RebalancerConfig, ShardHandle,
-    ShardMap, ShardOverlay, ShardService, ShardedFsClient, BLOCK_SIZE,
+    ShardMap, ShardOverlay, ShardService, BLOCK_SIZE,
 };
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::{SimDuration, SimTime};
@@ -99,7 +99,7 @@ fn hot_shard_setup(cl: &mut Cluster) -> HotShards {
             HostId(2 + i),
             "client",
             Box::new(
-                ShardedFsClient::with_servers(servers.clone(), script, rep.clone())
+                FsClient::with_servers(servers.clone(), script, rep.clone())
                     .with_overlay(overlay.clone()),
             ),
         );
@@ -218,7 +218,7 @@ fn old_owner_crash_after_flip_fails_over_to_new_owner() {
     // Its client held a stale owner when host 0 died: it recovered
     // through a forward (pre-crash) or a Send-error failover (post).
     assert!(
-        r.stale_owner_forwards + r.owner_failovers >= 1,
+        r.stale_owner_forwards + r.failovers >= 1,
         "a client recovery path must have fired: {r:?}"
     );
     // The stranded client may fail its remaining ops (its server is
@@ -257,7 +257,7 @@ fn migration_chaos_replays_deterministically() {
                     r.errors,
                     r.stale_owner_forwards,
                     r.write_retries,
-                    r.owner_failovers,
+                    r.failovers,
                 )
             })
             .collect();

@@ -14,8 +14,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::FsCall;
-use v_fs::replica::{spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+use v_fs::client::{FsCall, FsClient, FsClientReport, StepTimer, StepTimes};
+use v_fs::replica::spawn_replica_group;
 use v_fs::{BlockStore, DiskModel, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::{SimDuration, SimTime};
@@ -52,19 +52,17 @@ fn main() {
             expect: 0x7E,
         });
     }
-    let reports: Vec<Rc<RefCell<ReplicaReport>>> = (0..WORKSTATIONS)
+    let clients: Vec<_> = (0..WORKSTATIONS)
         .map(|i| {
-            let rep = Rc::new(RefCell::new(ReplicaReport::default()));
+            let rep = Rc::new(RefCell::new(FsClientReport::default()));
+            let times = Rc::new(RefCell::new(StepTimes::default()));
+            let client = FsClient::replicas(pids.clone(), script.clone(), rep.clone());
             cl.spawn(
                 HostId(REPLICAS + i),
                 "workstation",
-                Box::new(ReplicatedFsClient::new(
-                    pids.clone(),
-                    script.clone(),
-                    rep.clone(),
-                )),
+                Box::new(StepTimer::new(client, times.clone())),
             );
-            rep
+            (rep, times)
         })
         .collect();
 
@@ -76,17 +74,18 @@ fn main() {
     println!("boot storm over a replicated read-only root, primary crashed at 100 ms\n");
     println!("workstation | reads | failovers | worst read ms | median read ms");
     println!("------------+-------+-----------+---------------+---------------");
-    for (i, rep) in reports.iter().enumerate() {
+    for (i, (rep, times)) in clients.iter().enumerate() {
         let r = rep.borrow();
-        assert!(r.fs.done && !r.gave_up, "workstation {i} failed: {r:?}");
-        assert_eq!(r.fs.integrity_errors, 0, "workstation {i}: {r:?}");
-        let mut lats: Vec<f64> = r.op_ms.iter().skip(1).map(|&(_, l)| l).collect();
+        assert!(r.done && !r.gave_up, "workstation {i} failed: {r:?}");
+        assert_eq!(r.integrity_errors, 0, "workstation {i}: {r:?}");
+        let op_ms = times.borrow().op_ms();
+        let mut lats: Vec<f64> = op_ms.iter().skip(1).map(|&(_, l)| l).collect();
         lats.sort_by(f64::total_cmp);
         let worst = lats.last().copied().unwrap_or(0.0);
         let median = lats.get(lats.len() / 2).copied().unwrap_or(0.0);
         println!(
             "{i:>11} | {:>5} | {:>9} | {worst:>13.1} | {median:>14.2}",
-            r.fs.completed - 1, // minus the open
+            r.completed - 1, // minus the open
             r.failovers,
         );
     }
