@@ -91,7 +91,7 @@ impl StreamServer {
             put_u16(&mut pkt, 2, self.next_sent);
             put_u32(&mut pkt, 4, self.page_size as u32);
             pkt[HDR..].fill(self.pattern);
-            ctx.send_frame(self.client.expect("stream open"), pkt);
+            ctx.send_frame(self.client.expect("stream open"), pkt.into());
             self.next_sent += 1;
         }
         // Keep the disk busy fetching the next page.
@@ -237,7 +237,7 @@ impl StreamClient {
         let mut ack = vec![0u8; HDR];
         ack[0] = K_ACK;
         put_u16(&mut ack, 2, self.next_consume);
-        ctx.send_frame(self.server, ack);
+        ctx.send_frame(self.server, ack.into());
         self.try_consume(ctx);
     }
 }
@@ -267,7 +267,7 @@ impl RawHandler for StreamClient {
                 open[0] = K_OPEN;
                 put_u16(&mut open, 2, self.total);
                 put_u32(&mut open, 4, self.window as u32);
-                ctx.send_frame(self.server, open);
+                ctx.send_frame(self.server, open.into());
             }
         }
     }

@@ -85,7 +85,7 @@ impl RawHandler for WfsServer {
                 put_u32(&mut reply, 4, n as u32);
                 put_u32(&mut reply, 8, tag);
                 reply[HDR..].fill(self.pattern);
-                ctx.send_frame(frame.src, reply);
+                ctx.send_frame(frame.src, reply.into());
             }
             OP_WRITE => {
                 let n = frame.payload.len() - HDR;
@@ -95,7 +95,7 @@ impl RawHandler for WfsServer {
                 put_u16(&mut reply, 2, page);
                 put_u32(&mut reply, 4, n as u32);
                 put_u32(&mut reply, 8, tag);
-                ctx.send_frame(frame.src, reply);
+                ctx.send_frame(frame.src, reply.into());
             }
             _ => {}
         }
@@ -158,7 +158,7 @@ impl WfsClient {
         if extra > 0 {
             req[HDR..].fill(0xBB);
         }
-        ctx.send_frame(self.server, req);
+        ctx.send_frame(self.server, req.into());
     }
 }
 

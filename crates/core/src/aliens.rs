@@ -14,6 +14,8 @@
 //! * the pool is **bounded**: if no descriptor is free the new message is
 //!   discarded and a reply-pending packet tells the sender to retry.
 
+use std::rc::Rc;
+
 use v_sim::SimTime;
 
 use crate::message::Message;
@@ -29,8 +31,9 @@ pub enum AlienState {
     Delivered,
     /// Replied: the encoded reply packet is cached for retransmission.
     Replied {
-        /// Cached encoded reply packet.
-        packet: Vec<u8>,
+        /// Cached encoded reply packet — the very buffer the reply frame
+        /// carried, shared rather than copied.
+        packet: Rc<[u8]>,
         /// When the reply was generated (for retention expiry).
         at: SimTime,
     },
@@ -64,7 +67,7 @@ pub struct Alien {
     /// Encoded Forward rebind notification, cached once the exchange has
     /// been forwarded so a duplicate Send (the client missed the note)
     /// can be answered by re-sending it.
-    pub forward_note: Option<Vec<u8>>,
+    pub forward_note: Option<Rc<[u8]>>,
 }
 
 /// Disposition of an arriving Send packet, as judged by the alien table.
@@ -74,7 +77,7 @@ pub enum SendVerdict {
     /// source replaced); deliver to the destination process.
     Deliver,
     /// Duplicate of an exchange whose reply is cached: retransmit it.
-    RetransmitReply(Vec<u8>),
+    RetransmitReply(Rc<[u8]>),
     /// Duplicate of an exchange still awaiting its reply — or the pool is
     /// exhausted: answer with a reply-pending packet.
     ReplyPending,
@@ -270,12 +273,12 @@ mod tests {
         let mut t = table(4);
         t.admit(pid(2, 1), 1, pid(1, 1), body());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
-            packet: vec![1, 2, 3],
+            packet: Rc::from([1, 2, 3]),
             at: SimTime::ZERO,
         };
         let v = t.admit(pid(2, 1), 1, pid(1, 1), body());
         match v {
-            SendVerdict::RetransmitReply(p) => assert_eq!(p, vec![1, 2, 3]),
+            SendVerdict::RetransmitReply(p) => assert_eq!(*p, [1, 2, 3]),
             other => panic!("expected retransmit, got {other:?}"),
         }
     }
@@ -285,7 +288,7 @@ mod tests {
         let mut t = table(4);
         t.admit(pid(2, 1), 1, pid(1, 1), body());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
-            packet: vec![],
+            packet: Rc::from([]),
             at: SimTime::ZERO,
         };
         let v = t.admit(pid(2, 1), 2, pid(1, 1), body());
@@ -318,7 +321,7 @@ mod tests {
         t.admit(pid(2, 1), 1, pid(1, 1), body());
         t.admit(pid(2, 2), 1, pid(1, 1), body());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
-            packet: vec![],
+            packet: Rc::from([]),
             at: SimTime::ZERO,
         };
         let freed = t.sweep(

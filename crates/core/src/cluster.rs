@@ -17,6 +17,7 @@ use crate::error::KernelError;
 use crate::event::{Event, HostId, TimerKind};
 use crate::host::Host;
 use crate::hostmap::HostMap;
+use crate::ipc::dispatch::decode_interkernel;
 use crate::message::Message;
 use crate::naming::{NameTable, Scope};
 use crate::pcb::{Pcb, ProcState};
@@ -65,7 +66,7 @@ pub struct Cluster {
     pub(crate) hosts: Vec<Host>,
     pub(crate) housekeeping_armed: Vec<bool>,
     /// Logical events dispatched: one per resume/frame/timer/chunk. A
-    /// batched frame event counts once per frame it carries, so the
+    /// batched frame event counts once per receiver it names, so the
     /// number is comparable across delivery-batching changes.
     events_dispatched: u64,
     /// Reusable buffer for transport deliveries: every transmit drains
@@ -414,7 +415,7 @@ impl Cluster {
     }
 
     /// Logical events dispatched so far (a batched frame event counts
-    /// once per frame it carries).
+    /// once per receiver it names).
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
     }
@@ -422,11 +423,7 @@ impl Cluster {
     fn dispatch(&mut self, t: SimTime, ev: Event) {
         match ev {
             Event::Frame { host, frame } => self.dispatch_frame(t, host, frame),
-            Event::FrameBatch { items } => {
-                for (host, frame) in items {
-                    self.dispatch_frame(t, host, frame);
-                }
-            }
+            Event::FrameBatch { frame, hosts } => self.dispatch_batch(t, frame, hosts),
             ev => {
                 self.events_dispatched += 1;
                 // A crashed host is deaf and inert: stale timers/resumes
@@ -463,12 +460,42 @@ impl Cluster {
     /// applies the crashed-host check, and hands it to the receiving
     /// kernel.
     fn dispatch_frame(&mut self, t: SimTime, host: HostId, frame: Frame) {
-        self.events_dispatched += 1;
-        if !self.hosts[host.0].up {
-            self.hosts[host.0].stats.frames_dropped_down += 1;
-            return;
+        if self.hears(host) {
+            self.ctx(host).handle_frame(t, frame);
         }
-        self.ctx(host).handle_frame(t, frame);
+    }
+
+    /// Dispatches one frame heard by several hosts. An interkernel
+    /// payload is decoded once; each receiver then runs the per-host half
+    /// of reception on its own clone of the packet. A raw-protocol frame
+    /// goes to each receiver's handler in turn. Either way every receiver
+    /// sees its own station as the frame's destination.
+    fn dispatch_batch(&mut self, t: SimTime, mut frame: Frame, hosts: Vec<HostId>) {
+        let decoded = (frame.ethertype == EtherType::INTERKERNEL)
+            .then(|| decode_interkernel(self.cfg.protocol.encapsulation, &frame));
+        for host in hosts {
+            frame.dst = host.station_mac();
+            match &decoded {
+                Some(decoded) => {
+                    if self.hears(host) {
+                        self.ctx(host)
+                            .receive_interkernel(t, &frame, decoded.clone());
+                    }
+                }
+                None => self.dispatch_frame(t, host, frame.clone()),
+            }
+        }
+    }
+
+    /// Counts one frame arrival as a logical event and applies the
+    /// crashed-host check: false if `host` is down, which drops it.
+    fn hears(&mut self, host: HostId) -> bool {
+        self.events_dispatched += 1;
+        let h = &mut self.hosts[host.0];
+        if !h.up {
+            h.stats.frames_dropped_down += 1;
+        }
+        h.up
     }
 
     /// Builds the split-borrow context for one host.

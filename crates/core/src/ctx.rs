@@ -12,6 +12,8 @@
 //! effect (process resume, frame transmission) at the end of the charges
 //! that produce it.
 
+use std::rc::Rc;
+
 use v_net::{Delivery, EtherType, Frame, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 
@@ -112,15 +114,16 @@ impl Ctx<'_> {
         pkt: &Packet,
         to_host: LogicalHost,
     ) -> Emitted {
-        self.emit_bytes(t, encode(pkt), to_host)
+        self.emit_bytes(t, encode(pkt).into(), to_host)
     }
 
-    /// Transmits pre-encoded packet bytes (used for cached
-    /// retransmissions).
+    /// Transmits pre-encoded packet bytes. Retransmission caches hand
+    /// back the buffer an earlier frame carried, so re-sending it copies
+    /// nothing.
     pub(crate) fn emit_bytes(
         &mut self,
         t: SimTime,
-        bytes: Vec<u8>,
+        bytes: Rc<[u8]>,
         to_host: LogicalHost,
     ) -> Emitted {
         let dst = match self.host.hostmap.resolve(to_host) {
@@ -135,15 +138,15 @@ impl Ctx<'_> {
 
     /// Broadcasts a packet (naming queries).
     pub(crate) fn emit_broadcast(&mut self, t: SimTime, pkt: &Packet) -> Emitted {
-        self.emit_to_mac(t, encode(pkt), v_net::MacAddr::BROADCAST)
+        self.emit_to_mac(t, encode(pkt).into(), v_net::MacAddr::BROADCAST)
     }
 
-    fn emit_to_mac(&mut self, t: SimTime, bytes: Vec<u8>, dst: v_net::MacAddr) -> Emitted {
+    fn emit_to_mac(&mut self, t: SimTime, bytes: Rc<[u8]>, dst: v_net::MacAddr) -> Emitted {
         let encap = self.proto.encapsulation;
         let payload = if encap.extra_bytes() > 0 {
             let mut v = vec![0u8; encap.extra_bytes()];
             v.extend_from_slice(&bytes);
-            v
+            v.into()
         } else {
             bytes
         };
@@ -164,7 +167,7 @@ impl Ctx<'_> {
         t: SimTime,
         dst: v_net::MacAddr,
         ethertype: EtherType,
-        payload: Vec<u8>,
+        payload: Rc<[u8]>,
     ) -> SimTime {
         self.emit_frame(t, dst, ethertype, payload, SimDuration::ZERO)
             .cpu_done
@@ -173,14 +176,15 @@ impl Ctx<'_> {
     /// The one transmit path every frame takes: charges the copy-in and
     /// `extra_cost`, hands the frame to the transport, and schedules its
     /// deliveries (direct and gateway-forwarded alike) out of the
-    /// cluster's reused scratch buffer — no per-transmit allocation and
-    /// no per-delivery frame clone beyond the transport's own fan-out.
+    /// cluster's reused scratch buffer. The payload buffer is shared by
+    /// every clean delivery the transport produces, so no per-receiver
+    /// byte copy happens anywhere on the way.
     fn emit_frame(
         &mut self,
         t: SimTime,
         dst: v_net::MacAddr,
         ethertype: EtherType,
-        payload: Vec<u8>,
+        payload: Rc<[u8]>,
         extra_cost: SimDuration,
     ) -> Emitted {
         let wire_len = payload.len();
@@ -204,23 +208,33 @@ impl Ctx<'_> {
         }
     }
 
-    /// Drains the delivery scratch into the event queue, coalescing each
-    /// run of same-instant arrivals into one [`Event::FrameBatch`] — a
-    /// broadcast's fan-out becomes a single heap entry instead of one
-    /// per receiver. Scheduling order (and therefore FIFO tie-break
-    /// order at dispatch) matches the unbatched path exactly.
+    /// Drains the delivery scratch into the event queue. Each run of
+    /// same-instant deliveries of one frame — sharing one payload buffer
+    /// ([`Rc::ptr_eq`]) — becomes a single [`Event::FrameBatch`] of the
+    /// frame plus its receivers, so a broadcast's fan-out is one heap
+    /// entry and one decode instead of one per receiver. A delivery
+    /// corrupted in flight has bytes of its own and so becomes its own
+    /// [`Event::Frame`], scheduled in its original position: scheduling
+    /// order, and therefore FIFO tie-break order at dispatch, matches
+    /// one event per delivery exactly.
     fn schedule_scratch(&mut self) {
         let mut drain = self.scratch.drain(..).peekable();
         while let Some(d) = drain.next() {
             let host = HostId::from_station_mac(d.dst);
-            if drain.peek().is_some_and(|n| n.at == d.at) {
-                let at = d.at;
-                let mut items = vec![(host, d.frame)];
-                while drain.peek().is_some_and(|n| n.at == at) {
-                    let n = drain.next().expect("peeked");
-                    items.push((HostId::from_station_mac(n.dst), n.frame));
+            let same_frame =
+                |n: &Delivery| n.at == d.at && Rc::ptr_eq(&n.frame.payload, &d.frame.payload);
+            if drain.peek().is_some_and(same_frame) {
+                let mut hosts = vec![host];
+                while let Some(n) = drain.next_if(same_frame) {
+                    hosts.push(HostId::from_station_mac(n.dst));
                 }
-                self.queue.schedule(at, Event::FrameBatch { items });
+                self.queue.schedule(
+                    d.at,
+                    Event::FrameBatch {
+                        frame: d.frame,
+                        hosts,
+                    },
+                );
             } else {
                 self.queue.schedule(
                     d.at,

@@ -117,14 +117,18 @@ pub enum Event {
         /// The frame (payload possibly corrupted in flight).
         frame: Frame,
     },
-    /// A batch of frame arrivals sharing one instant, possibly spanning
-    /// many hosts — a broadcast's fan-out coalesced into a single
-    /// scheduling event so a 1000-receiver broadcast costs one heap
-    /// entry instead of a thousand. Items dispatch in order, each with
-    /// its own crashed-host check.
+    /// One frame arriving at several hosts at the same instant — a
+    /// broadcast's fan-out as a single scheduling event: one heap entry
+    /// and one shared payload however many hosts hear it, and an
+    /// interkernel payload decoded once for all of them. Receivers
+    /// dispatch in order, each with its own crashed-host check and its
+    /// own station address as the frame's destination.
     FrameBatch {
-        /// `(receiving host, frame)` pairs in delivery order.
-        items: Vec<(HostId, Frame)>,
+        /// The frame as every receiver heard it (its `dst` is the first
+        /// receiver's station; dispatch rewrites it per receiver).
+        frame: Frame,
+        /// Receiving hosts in delivery order.
+        hosts: Vec<HostId>,
     },
     /// A kernel timer fired.
     Timer {

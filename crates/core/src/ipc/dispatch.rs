@@ -1,9 +1,13 @@
 //! The dispatch boundary: syscalls in, frames in.
 //!
 //! Inbound frames are decoded exactly once — raw payload bytes become a
-//! typed [`v_wire::PacketBody`] here, and every protocol handler beyond
-//! this point consumes a body struct. Undecodable frames are counted
-//! (corruption vs. unknown kind) and dropped; the protocols above never
+//! typed [`v_wire::PacketBody`] in [`decode_interkernel`], and every
+//! protocol handler beyond this point consumes a body struct. Once means
+//! once per *frame*, not per receiver: a broadcast heard by a thousand
+//! hosts is decoded a single time, and each receiver runs only the
+//! per-host half ([`Ctx::receive_interkernel`]) on its own clone of the
+//! packet. Undecodable frames are counted (corruption vs. unknown kind)
+//! by every host that heard them and dropped; the protocols above never
 //! see them. Frames with a foreign ethertype fan out to the registered
 //! raw-protocol handlers.
 
@@ -11,6 +15,7 @@ use v_net::{EtherType, Frame};
 use v_sim::{SimDuration, SimTime};
 
 use crate::cluster::Pending;
+use crate::config::Encapsulation;
 use crate::ctx::Ctx;
 use crate::event::TimerKind;
 use crate::pcb::ProcState;
@@ -62,22 +67,32 @@ impl Ctx<'_> {
 
     /// A frame finished arriving at this host's interface.
     pub(crate) fn handle_frame(&mut self, t: SimTime, frame: Frame) {
-        self.host.nic.note_rx(frame.payload.len());
         if frame.ethertype != EtherType::INTERKERNEL {
+            self.host.nic.note_rx(frame.payload.len());
             self.dispatch_raw(t, frame);
             return;
         }
+        let decoded = decode_interkernel(self.proto.encapsulation, &frame);
+        self.receive_interkernel(t, &frame, decoded);
+    }
+
+    /// The per-host half of receiving an interkernel frame, given the
+    /// frame's decode result: counts the arrival, charges the receive
+    /// path, drops what failed to decode, learns the sender's station,
+    /// and dispatches the packet.
+    pub(crate) fn receive_interkernel(
+        &mut self,
+        t: SimTime,
+        frame: &Frame,
+        decoded: Result<Packet, WireError>,
+    ) {
+        self.host.nic.note_rx(frame.payload.len());
         let encap = self.proto.encapsulation;
         let cost = self.host.costs.rx_dispatch
             + self.host.costs.frame_rx_cost(frame.payload.len())
             + encap.extra_rx_cost();
         let end = self.charge(t, cost);
-        let Some(body) = frame.payload_after(encap.extra_bytes()) else {
-            self.host.stats.checksum_drops += 1;
-            self.host.nic.note_rx_bad();
-            return;
-        };
-        let pkt = match decode(body) {
+        let pkt = match decoded {
             Ok(p) => p,
             Err(WireError::UnknownKind(_)) => {
                 // The checksum held, so the frame arrived intact — the
@@ -195,6 +210,16 @@ impl Ctx<'_> {
     }
 }
 
+/// Decodes the packet an interkernel frame carries past its
+/// encapsulation header — the part of reception that depends only on the
+/// frame, done once however many hosts heard it. A frame too short to
+/// hold the encapsulation header counts as corrupted.
+pub(crate) fn decode_interkernel(encap: Encapsulation, frame: &Frame) -> Result<Packet, WireError> {
+    frame
+        .payload_after(encap.extra_bytes())
+        .map_or(Err(WireError::TooShort), decode)
+}
+
 /// [`crate::raw::RawCtx`] implementation over a kernel context.
 pub(crate) struct RawCtxImpl<'c, 'a> {
     ctx: &'c mut Ctx<'a>,
@@ -221,7 +246,7 @@ impl crate::raw::RawCtx for RawCtxImpl<'_, '_> {
         self.ctx.host.nic.mac()
     }
 
-    fn send_frame(&mut self, dst: v_net::MacAddr, payload: Vec<u8>) {
+    fn send_frame(&mut self, dst: v_net::MacAddr, payload: std::rc::Rc<[u8]>) {
         self.now = self.ctx.emit_raw(self.now, dst, self.ethertype, payload);
     }
 

@@ -32,6 +32,8 @@
 //! the client's cached retransmission packet is rewritten to address
 //! the forwardee, so a lost hand-off self-heals too.
 
+use std::rc::Rc;
+
 use v_sim::SimTime;
 
 use crate::aliens::AlienState;
@@ -137,12 +139,13 @@ impl Ctx<'_> {
             appended,
             appended_from,
         };
-        let note = encode(&Packet {
+        let note: Rc<[u8]> = encode(&Packet {
             seq,
             src_pid: forwarder.raw(),
             dst_pid: from.raw(),
             body: PacketBody::Forward(body.clone()),
-        });
+        })
+        .into();
 
         if to.is_local_to(self.host.logical) {
             // Same-host forwardee (the server-team case): rebind the
@@ -293,7 +296,7 @@ impl Ctx<'_> {
             }) = self.host.proc_mut(client).map(|p| &mut p.state)
             {
                 *to = new_server;
-                *packet = rebuilt;
+                *packet = rebuilt.into();
                 // The forwardee is a fresh leg of the exchange: give it
                 // the full retry budget.
                 *retries_left = max_retries;

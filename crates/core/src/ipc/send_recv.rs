@@ -6,6 +6,8 @@
 //! senders — local processes and remote *aliens* alike — and the pump
 //! delivers the head of the queue whenever the receiver is receptive.
 
+use std::rc::Rc;
+
 use v_sim::{SimDuration, SimTime};
 
 use crate::aliens::{AlienState, SendVerdict};
@@ -88,7 +90,7 @@ impl Ctx<'_> {
                     appended_from,
                 }),
             };
-            let bytes = encode(&pkt);
+            let bytes: Rc<[u8]> = encode(&pkt).into();
             {
                 // A condemned peer gets a short probe, not the full
                 // ladder: bounded failover latency, but a restarted host
@@ -351,7 +353,7 @@ impl Ctx<'_> {
                     seg: seg_data,
                 }),
             };
-            let bytes = encode(&pkt);
+            let bytes: Rc<[u8]> = encode(&pkt).into();
             let emitted = self.emit_bytes(end, bytes.clone(), to.host());
             if self.proto.reply_caching {
                 if let Some(a) = self.host.aliens.get_mut(to) {

@@ -1,6 +1,7 @@
 //! Process descriptors.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use crate::addrspace::AddressSpace;
 use crate::message::Message;
@@ -36,8 +37,10 @@ pub enum ProcState {
         seq: u32,
         /// Retransmissions remaining before the send fails.
         retries_left: u32,
-        /// Encoded Send packet, cached for retransmission.
-        packet: Vec<u8>,
+        /// Encoded Send packet, cached for retransmission: the buffer the
+        /// Send frame carried, so a retransmission re-sends it without a
+        /// copy.
+        packet: Rc<[u8]>,
         /// Write-capable grant extracted from the sent message; incoming
         /// `ReplyWithSegment` data and remote `MoveTo` chunks are
         /// validated against it on this (the granting) side too.

@@ -11,6 +11,8 @@
 //! The network-penalty measurement of Table 4-1 is also implemented as a
 //! raw handler: interrupt-level ping-pong with no protocol above it.
 
+use std::rc::Rc;
+
 use v_net::{Frame, MacAddr};
 use v_sim::{SimDuration, SimTime};
 
@@ -28,8 +30,9 @@ pub trait RawCtx {
     fn mac(&self) -> MacAddr;
 
     /// Builds and transmits a frame carrying `payload` to `dst` under
-    /// this handler's ethertype.
-    fn send_frame(&mut self, dst: MacAddr, payload: Vec<u8>);
+    /// this handler's ethertype. The buffer is shared, not copied: an
+    /// echo may hand back the payload of the frame it received.
+    fn send_frame(&mut self, dst: MacAddr, payload: Rc<[u8]>);
 
     /// Charges additional processor time (protocol-specific service
     /// work).

@@ -48,7 +48,7 @@ proptest! {
                     // Simulate the receiver eventually replying (or not).
                     if replied[i % replied.len()] {
                         table.get_mut(src).unwrap().state = AlienState::Replied {
-                            packet: vec![seq as u8],
+                            packet: vec![seq as u8].into(),
                             at: v_sim::SimTime::ZERO,
                         };
                     } else {
@@ -59,7 +59,7 @@ proptest! {
                     // Only ever for the exchange that was last delivered
                     // and replied.
                     prop_assert_eq!(last_delivered[s as usize], Some(seq));
-                    prop_assert_eq!(p, vec![seq as u8]);
+                    prop_assert_eq!(&*p, &[seq as u8]);
                 }
                 SendVerdict::ReplyPending | SendVerdict::Drop => {}
             }
@@ -93,7 +93,7 @@ proptest! {
             table.admit(pid(i + 1), 1, dst, body());
             if reply_mask & (1 << i) != 0 {
                 table.get_mut(pid(i + 1)).unwrap().state = AlienState::Replied {
-                    packet: vec![],
+                    packet: Vec::new().into(),
                     at: v_sim::SimTime::ZERO,
                 };
             }

@@ -7,23 +7,29 @@
 //! that the retransmission / duplicate-suppression machinery preserves
 //! exactly-once message-exchange semantics.
 
+use std::rc::Rc;
+
 use v_sim::{SimDuration, SplitMix64};
 
 /// Interval between a frame and its injected duplicate, shared by every
 /// transport so duplicate timing is uniform across media.
 pub(crate) const REDELIVERY_GAP: SimDuration = SimDuration::from_micros(200);
 
-/// Corrupts a handful of payload bytes so protocol checksums fail —
-/// the one corruption model every transport applies.
-pub(crate) fn scramble(rng: &mut SplitMix64, payload: &mut [u8]) {
-    if payload.is_empty() {
-        return;
+/// Returns a copy of `payload` with a handful of bytes corrupted so
+/// protocol checksums fail — the one corruption model every transport
+/// applies. The bytes are copied before any is touched: the clean
+/// buffer stays shared by every other receiver of the frame.
+pub(crate) fn scrambled(rng: &mut SplitMix64, payload: &[u8]) -> Rc<[u8]> {
+    let mut copy: Rc<[u8]> = Rc::from(payload);
+    let bytes = Rc::get_mut(&mut copy).expect("a fresh copy has no other owner");
+    if !bytes.is_empty() {
+        let hits = 1 + rng.below(4) as usize;
+        for _ in 0..hits {
+            let idx = rng.below(bytes.len() as u64) as usize;
+            bytes[idx] ^= (1 + rng.below(255)) as u8;
+        }
     }
-    let hits = 1 + rng.below(4) as usize;
-    for _ in 0..hits {
-        let idx = rng.below(payload.len() as u64) as usize;
-        payload[idx] ^= (1 + rng.below(255)) as u8;
-    }
+    copy
 }
 
 /// Probabilistic fault plan applied to every delivery.

@@ -1,6 +1,7 @@
 //! Frames and station addressing.
 
 use std::fmt;
+use std::rc::Rc;
 
 /// A station address on the local network.
 ///
@@ -64,6 +65,13 @@ impl EtherType {
 /// per-byte copy and wire costs — matching how the paper quotes packet
 /// sizes (a 32-byte message rides in a "64-byte" datagram: 32 bytes of
 /// message + 32 bytes of interkernel header).
+///
+/// The payload is a shared, immutable buffer, like the one frame every
+/// interface on a segment hears: cloning a frame (a broadcast's fan-out,
+/// a gateway's forward, an injected duplicate, a kernel's retransmission
+/// cache) bumps a reference count instead of copying bytes. Corruption
+/// in flight copies the bytes first, so a damaged copy never aliases a
+/// clean one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Destination station (possibly broadcast).
@@ -73,17 +81,22 @@ pub struct Frame {
     /// Protocol discriminator.
     pub ethertype: EtherType,
     /// Encoded protocol packet.
-    pub payload: Vec<u8>,
+    pub payload: Rc<[u8]>,
 }
 
 impl Frame {
     /// Creates a frame.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> Self {
+    pub fn new(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        payload: impl Into<Rc<[u8]>>,
+    ) -> Self {
         Frame {
             dst,
             src,
             ethertype,
-            payload,
+            payload: payload.into(),
         }
     }
 

@@ -28,9 +28,7 @@ use v_sim::{SimDuration, SimTime};
 
 use crate::fault::FaultPlan;
 use crate::frame::{Frame, MacAddr};
-use crate::medium::{
-    CollisionBug, Delivery, Ethernet, MediumStats, NetworkKind, TxResult, TxWindow,
-};
+use crate::medium::{CollisionBug, Delivery, Ethernet, MediumStats, NetworkKind, TxWindow};
 use crate::transport::{GatewayStats, Transport};
 
 /// First station address of the reserved gateway range. Gateway `i`
@@ -304,24 +302,6 @@ impl Internetwork {
             tx_scratch: Vec::new(),
             fwd_scratch: Vec::new(),
         }
-    }
-
-    /// Allocating convenience wrapper around the batched
-    /// [`Transport::transmit`], for tests and one-shot probes.
-    pub fn transmit(&mut self, ready: SimTime, frame: Frame) -> TxResult {
-        let mut deliveries = Vec::new();
-        let win = Transport::transmit(self, ready, frame, &mut deliveries);
-        TxResult {
-            tx_start: win.tx_start,
-            tx_end: win.tx_end,
-            deliveries,
-        }
-    }
-
-    /// Allocating convenience wrapper around the batched
-    /// [`Transport::poll_deliveries`].
-    pub fn poll_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.pending)
     }
 
     /// The configured topology.
@@ -738,6 +718,7 @@ impl Transport for Internetwork {
 mod tests {
     use super::*;
     use crate::frame::EtherType;
+    use crate::transport::transmit_collect as tx;
 
     fn frame(dst: MacAddr, src: MacAddr, len: usize) -> Frame {
         Frame::new(dst, src, EtherType::RAW_BENCH, vec![0xC3; len])
@@ -763,7 +744,9 @@ mod tests {
     }
 
     fn polled(n: &mut Internetwork) -> Vec<Delivery> {
-        n.poll_deliveries()
+        let mut out = Vec::new();
+        n.poll_deliveries(&mut out);
+        out
     }
 
     fn total(n: &Internetwork) -> GatewayStats {
@@ -773,9 +756,9 @@ mod tests {
     #[test]
     fn same_segment_unicast_stays_direct() {
         let mut n = star();
-        let r = n.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(2), 64));
-        assert_eq!(r.deliveries.len(), 1);
-        assert_eq!(r.deliveries[0].dst, MacAddr(3));
+        let (_, r) = tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(2), 64));
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].dst, MacAddr(3));
         assert!(polled(&mut n).is_empty());
         assert_eq!(total(&n).forwarded, 0);
     }
@@ -783,18 +766,18 @@ mod tests {
     #[test]
     fn cross_segment_unicast_is_forwarded_and_later() {
         let mut n = star();
-        let direct = n.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(2), 64));
+        let (_, direct) = tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(2), 64));
         let mut n = star();
-        let r = n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert!(r.deliveries.is_empty(), "no same-segment receiver");
+        let (_, r) = tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert!(r.is_empty(), "no same-segment receiver");
         let fwd = polled(&mut n);
         assert_eq!(fwd.len(), 1);
         assert_eq!(fwd[0].dst, MacAddr(2));
         assert!(
-            fwd[0].at > direct.deliveries[0].at,
+            fwd[0].at > direct[0].at,
             "store-and-forward must add latency: {:?} vs {:?}",
             fwd[0].at,
-            direct.deliveries[0].at
+            direct[0].at
         );
         assert_eq!(total(&n).forwarded, 1);
     }
@@ -802,10 +785,14 @@ mod tests {
     #[test]
     fn broadcast_floods_every_segment_once() {
         let mut n = star();
-        let r = n.transmit(SimTime::ZERO, frame(MacAddr::BROADCAST, MacAddr(1), 64));
+        let (_, r) = tx(
+            &mut n,
+            SimTime::ZERO,
+            frame(MacAddr::BROADCAST, MacAddr(1), 64),
+        );
         // Segment 0 has only the sender (plus the gateway), so no direct
         // receivers.
-        assert!(r.deliveries.is_empty());
+        assert!(r.is_empty());
         let mut dsts: Vec<u16> = polled(&mut n).iter().map(|d| d.dst.0).collect();
         dsts.sort_unstable();
         assert_eq!(dsts, vec![2, 3]);
@@ -815,8 +802,8 @@ mod tests {
     fn two_hop_unicast_crosses_both_gateways() {
         let mut n = line3();
         assert_eq!(n.hops(0, 2), 2);
-        let r = n.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
-        assert!(r.deliveries.is_empty());
+        let (_, r) = tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
+        assert!(r.is_empty());
         let fwd = polled(&mut n);
         assert_eq!(fwd.len(), 1);
         assert_eq!(fwd[0].dst, MacAddr(3));
@@ -835,16 +822,16 @@ mod tests {
             let mut m = Internetwork::new(MeshConfig::line(3), 42);
             m.attach(MacAddr(1), 0);
             m.attach(MacAddr(9), 0);
-            let r = m.transmit(SimTime::ZERO, frame(MacAddr(9), MacAddr(1), 64));
-            r.deliveries[0].at
+            let (_, r) = tx(&mut m, SimTime::ZERO, frame(MacAddr(9), MacAddr(1), 64));
+            r[0].at
         };
         let one = {
-            n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+            tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
             polled(&mut n)[0].at
         };
         let mut n2 = line3();
         let two = {
-            n2.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
+            tx(&mut n2, SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
             polled(&mut n2)[0].at
         };
         let hop1 = one.since(direct_at);
@@ -861,11 +848,12 @@ mod tests {
         for s in 0..4 {
             n.attach(MacAddr(1 + s as u16), s);
         }
-        let r = n.transmit(SimTime::ZERO, frame(MacAddr::BROADCAST, MacAddr(1), 64));
-        assert!(
-            r.deliveries.is_empty(),
-            "origin segment has only the sender"
+        let (_, r) = tx(
+            &mut n,
+            SimTime::ZERO,
+            frame(MacAddr::BROADCAST, MacAddr(1), 64),
         );
+        assert!(r.is_empty(), "origin segment has only the sender");
         let mut dsts: Vec<u16> = polled(&mut n).iter().map(|d| d.dst.0).collect();
         dsts.sort_unstable();
         assert_eq!(dsts, vec![2, 3, 4], "each host exactly once");
@@ -881,8 +869,7 @@ mod tests {
         // A burst of back-to-back cross-segment frames: the 3 Mb egress
         // segment drains slower than the ingress segment feeds.
         for _ in 0..20 {
-            let r = n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-            let _ = r;
+            tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
         }
         let g = total(&n);
         assert!(g.queue_drops > 0, "burst must overflow the 1-frame queue");
@@ -898,7 +885,7 @@ mod tests {
             corrupt: 1.0,
             ..FaultPlan::NONE
         });
-        n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         assert!(polled(&mut n).is_empty());
         assert_eq!(total(&n).corrupt_drops, 1);
     }
@@ -906,7 +893,7 @@ mod tests {
     #[test]
     fn stats_sum_across_segments() {
         let mut n = star();
-        n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         // Ingress transmit on segment 0 plus gateway egress on segment 1.
         assert_eq!(n.stats().frames_sent, 2);
     }
@@ -930,16 +917,16 @@ mod tests {
         assert!(!n.gateway_alive(0));
         assert_eq!(n.hops(0, 2), Internetwork::UNREACHABLE);
         // Unicast into the partition dies silently.
-        n.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
+        tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
         assert!(polled(&mut n).is_empty());
         // The unaffected hop still forwards.
-        n.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(2), 64));
+        tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(2), 64));
         assert_eq!(polled(&mut n).len(), 1);
         // Restore heals the route.
         assert!(n.restore_gateway(0));
         assert!(!n.restore_gateway(0), "already up");
         assert_eq!(n.hops(0, 2), 2);
-        n.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
+        tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
         assert_eq!(polled(&mut n).len(), 1);
     }
 
@@ -953,7 +940,7 @@ mod tests {
         // the long way: 0 → 3 → 2 → 1.
         assert!(n.fail_gateway(0));
         assert_eq!(n.hops(0, 1), 3);
-        n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         let fwd = polled(&mut n);
         assert_eq!(fwd.len(), 1);
         assert_eq!(fwd[0].dst, MacAddr(2));
@@ -969,7 +956,11 @@ mod tests {
         n.attach(MacAddr(3), 2);
         assert!(n.fail_gateway(1));
         // From segment 0 the flood reaches segment 1 but not 2.
-        n.transmit(SimTime::ZERO, frame(MacAddr::BROADCAST, MacAddr(1), 64));
+        tx(
+            &mut n,
+            SimTime::ZERO,
+            frame(MacAddr::BROADCAST, MacAddr(1), 64),
+        );
         let dsts: Vec<u16> = polled(&mut n).iter().map(|d| d.dst.0).collect();
         assert_eq!(dsts, vec![2], "only the near side hears the flood");
     }
@@ -993,14 +984,18 @@ mod tests {
         assert_eq!(n.segment_of(MacAddr(300)), Some(1));
         assert_eq!(n.segment_of(MacAddr(301)), None);
         // Cross-segment unicast between two high addresses still routes.
-        n.transmit(SimTime::ZERO, frame(MacAddr(300), MacAddr(299), 64));
+        tx(&mut n, SimTime::ZERO, frame(MacAddr(300), MacAddr(299), 64));
         let fwd = polled(&mut n);
         assert_eq!(fwd.len(), 1);
         assert_eq!(fwd[0].dst, MacAddr(300));
         // A broadcast from a high address reaches all 299 other stations.
-        let r = n.transmit(SimTime::ZERO, frame(MacAddr::BROADCAST, MacAddr(300), 64));
+        let (_, r) = tx(
+            &mut n,
+            SimTime::ZERO,
+            frame(MacAddr::BROADCAST, MacAddr(300), 64),
+        );
         let flooded = polled(&mut n);
-        assert_eq!(r.deliveries.len() + flooded.len(), 299);
+        assert_eq!(r.len() + flooded.len(), 299);
     }
 
     #[test]
@@ -1012,7 +1007,7 @@ mod tests {
             n.attach(MacAddr(1), 0);
             n.attach(MacAddr(2), 1);
             for _ in 0..4 {
-                n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+                tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
             }
             let mut fwd = polled(&mut n);
             fwd.sort_by_key(|d| d.at);
@@ -1042,7 +1037,7 @@ mod tests {
             let mut n = Internetwork::new(cfg, 5);
             n.attach(MacAddr(1), 0);
             n.attach(MacAddr(2), 1);
-            n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+            tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
             (polled(&mut n)[0].at, total(&n).coalesced)
         };
         let (at_off, _) = run(false);
@@ -1061,8 +1056,8 @@ mod tests {
         n.attach(MacAddr(2), 1);
         n.attach(MacAddr(3), 2);
         for _ in 0..3 {
-            n.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-            n.transmit(SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 1024));
+            tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+            tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 1024));
         }
         let st = total(&n);
         assert!(st.forwarded > 0);

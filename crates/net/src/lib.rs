@@ -51,8 +51,6 @@ pub use internet::{
     GATEWAY_MAC_LAST, MAX_GATEWAYS,
 };
 pub use link::{LinkParams, PointToPointLink};
-pub use medium::{
-    CollisionBug, Delivery, Ethernet, MediumStats, NetParams, NetworkKind, TxResult, TxWindow,
-};
+pub use medium::{CollisionBug, Delivery, Ethernet, MediumStats, NetParams, NetworkKind, TxWindow};
 pub use nic::Nic;
 pub use transport::{GatewayStats, Topology, Transport};

@@ -9,9 +9,9 @@
 
 use v_sim::{SimDuration, SimTime, SplitMix64};
 
-use crate::fault::{scramble, Fate, FaultPlan, REDELIVERY_GAP};
+use crate::fault::{scrambled, Fate, FaultPlan, REDELIVERY_GAP};
 use crate::frame::{Frame, MacAddr};
-use crate::medium::{Delivery, MediumStats, TxResult, TxWindow};
+use crate::medium::{Delivery, MediumStats, TxWindow};
 use crate::transport::Transport;
 
 /// Physical and error parameters of a point-to-point link.
@@ -99,7 +99,7 @@ impl PointToPointLink {
         frame.dst = dst;
         if corrupted {
             self.stats.corrupted += 1;
-            scramble(&mut self.rng, &mut frame.payload);
+            frame.payload = scrambled(&mut self.rng, &frame.payload);
         }
         Delivery {
             at,
@@ -114,18 +114,6 @@ impl PointToPointLink {
     fn note_reordered(&mut self, reordered: bool) {
         if reordered {
             self.stats.reordered += 1;
-        }
-    }
-
-    /// Allocating convenience wrapper around the batched
-    /// [`Transport::transmit`], for tests and one-shot probes.
-    pub fn transmit(&mut self, ready: SimTime, frame: Frame) -> TxResult {
-        let mut deliveries = Vec::new();
-        let win = Transport::transmit(self, ready, frame, &mut deliveries);
-        TxResult {
-            tx_start: win.tx_start,
-            tx_end: win.tx_end,
-            deliveries,
         }
     }
 }
@@ -223,6 +211,7 @@ impl Transport for PointToPointLink {
 mod tests {
     use super::*;
     use crate::frame::EtherType;
+    use crate::transport::transmit_collect as tx;
 
     fn frame(dst: MacAddr, src: MacAddr, len: usize) -> Frame {
         Frame::new(dst, src, EtherType::RAW_BENCH, vec![0x5A; len])
@@ -238,31 +227,31 @@ mod tests {
     #[test]
     fn delivery_pays_serialization_plus_propagation() {
         let mut l = link(LinkParams::T1);
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 193));
+        let (w, ds) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 193));
         // 193 bytes at 1.544 Mb/s = 1 ms on the wire, then 30 ms of
         // distance.
-        assert_eq!(r.tx_end, SimTime::from_millis(1));
-        assert_eq!(r.deliveries.len(), 1);
-        assert_eq!(r.deliveries[0].at, SimTime::from_millis(31));
+        assert_eq!(w.tx_end, SimTime::from_millis(1));
+        assert_eq!(ds.len(), 1);
+        assert_eq!(ds[0].at, SimTime::from_millis(31));
     }
 
     #[test]
     fn directions_serialize_independently() {
         let mut l = link(LinkParams::T1);
-        let a = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1000));
+        let (a, _) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1000));
         // The reverse direction is free even while 1→2 is busy.
-        let b = l.transmit(SimTime::ZERO, frame(MacAddr(1), MacAddr(2), 64));
+        let (b, _) = tx(&mut l, SimTime::ZERO, frame(MacAddr(1), MacAddr(2), 64));
         assert_eq!(b.tx_start, SimTime::ZERO);
         // A second frame in the same direction defers.
-        let c = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        let (c, _) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         assert_eq!(c.tx_start, a.tx_end);
     }
 
     #[test]
     fn loss_drops_frames() {
         let mut l = link(LinkParams::T1.with_loss(1.0));
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert!(r.deliveries.is_empty());
+        let (_, ds) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert!(ds.is_empty());
         assert_eq!(l.stats().dropped, 1);
     }
 
@@ -272,8 +261,8 @@ mod tests {
         // An explicit empty plan clears even the params-derived loss,
         // exactly as it does on every other transport.
         l.set_faults(FaultPlan::NONE);
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
+        let (_, ds) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(ds.len(), 1);
         assert_eq!(l.stats().dropped, 0);
     }
 
@@ -284,10 +273,10 @@ mod tests {
             corrupt: 1.0,
             ..FaultPlan::NONE
         });
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
-        assert!(r.deliveries[0].corrupted);
-        assert_ne!(r.deliveries[0].frame.payload, vec![0x5A; 64]);
+        let (_, ds) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(ds.len(), 1);
+        assert!(ds[0].corrupted);
+        assert_ne!(*ds[0].frame.payload, [0x5A; 64]);
         assert_eq!(l.stats().corrupted, 1);
     }
 
@@ -296,9 +285,9 @@ mod tests {
         let mut p = LinkParams::T1;
         p.duplicate = 1.0;
         let mut l = link(p);
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 2);
-        assert!(r.deliveries[1].at > r.deliveries[0].at);
+        let (_, ds) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(ds.len(), 2);
+        assert!(ds[1].at > ds[0].at);
         assert_eq!(l.stats().duplicated, 1);
     }
 
@@ -307,14 +296,11 @@ mod tests {
         let mut p = LinkParams::T1;
         p.reorder = 1.0;
         let mut l = link(p);
-        let a = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        let (_, a) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         p.reorder = 0.0;
         let mut clean = link(p);
-        let b = clean.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(
-            a.deliveries[0].at,
-            b.deliveries[0].at + LinkParams::T1.propagation
-        );
+        let (_, b) = tx(&mut clean, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(a[0].at, b[0].at + LinkParams::T1.propagation);
         assert_eq!(l.stats().reordered, 1);
     }
 
@@ -329,6 +315,6 @@ mod tests {
     #[should_panic(expected = "exceeds link MTU")]
     fn oversized_frame_panics() {
         let mut l = link(LinkParams::T1);
-        l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
+        tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
     }
 }

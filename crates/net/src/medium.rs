@@ -2,7 +2,7 @@
 
 use v_sim::{SimDuration, SimTime, SplitMix64};
 
-use crate::fault::{scramble, Fate, FaultPlan, REDELIVERY_GAP};
+use crate::fault::{scrambled, Fate, FaultPlan, REDELIVERY_GAP};
 use crate::frame::{Frame, MacAddr};
 
 /// Which physical network flavour to simulate.
@@ -92,22 +92,8 @@ pub struct Delivery {
     pub corrupted: bool,
 }
 
-/// Result of one transmit request.
-#[derive(Debug, Clone)]
-pub struct TxResult {
-    /// When the transmission actually started (after any CSMA deferral).
-    pub tx_start: SimTime,
-    /// When the medium became free again; the sending interface is also
-    /// busy until this instant (single-buffered transmitter).
-    pub tx_end: SimTime,
-    /// Frame arrivals this transmission produces (empty if every copy was
-    /// lost).
-    pub deliveries: Vec<Delivery>,
-}
-
-/// Transmit window of one transmission — the allocation-free part of a
-/// [`TxResult`]; the deliveries themselves land in a caller-owned
-/// buffer.
+/// Transmit window of one transmission; the deliveries it produces land
+/// in a caller-owned buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxWindow {
     /// When the transmission actually started (after any CSMA deferral).
@@ -268,26 +254,14 @@ impl Ethernet {
         self.stats
     }
 
-    /// Allocating convenience wrapper around
-    /// [`Ethernet::transmit_into`], for tests and one-shot probes; the
-    /// kernel hot path reuses a scratch buffer through the transport
-    /// trait instead.
-    pub fn transmit(&mut self, ready: SimTime, frame: Frame) -> TxResult {
-        let mut deliveries = Vec::new();
-        let win = self.transmit_into(ready, frame, &mut deliveries);
-        TxResult {
-            tx_start: win.tx_start,
-            tx_end: win.tx_end,
-            deliveries,
-        }
-    }
-
     /// Transmits `frame`, whose copy into the sending interface completed
-    /// at `ready`, appending the resulting deliveries to `out`. A unicast
-    /// delivery reuses the transmitted frame itself; a broadcast clones
-    /// once per receiver and nothing else — there is no per-transmit
-    /// bookkeeping allocation, which is what lets a 1000-station
-    /// boot-storm broadcast stay cheap.
+    /// at `ready`, appending the resulting deliveries to `out`. Every
+    /// clean delivery — each receiver of a broadcast, and an injected
+    /// duplicate — carries the transmitted payload buffer itself (one
+    /// reference-count bump, no byte copy); only a corrupted delivery
+    /// gets bytes of its own. There is no per-transmit bookkeeping
+    /// allocation either, which is what keeps a 2000-station boot-storm
+    /// broadcast cheap.
     ///
     /// # Panics
     ///
@@ -388,7 +362,7 @@ impl Ethernet {
         frame.dst = dst;
         if corrupted {
             self.stats.corrupted += 1;
-            scramble(&mut self.rng, &mut frame.payload);
+            frame.payload = scrambled(&mut self.rng, &frame.payload);
         }
         Delivery {
             at,
@@ -403,6 +377,7 @@ impl Ethernet {
 mod tests {
     use super::*;
     use crate::frame::EtherType;
+    use crate::transport::transmit_collect as tx;
 
     fn frame(dst: MacAddr, src: MacAddr, len: usize) -> Frame {
         Frame::new(dst, src, EtherType::RAW_BENCH, vec![0xAB; len])
@@ -431,18 +406,22 @@ mod tests {
     #[test]
     fn unicast_delivers_to_destination_only() {
         let mut e = net3();
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
-        assert_eq!(r.deliveries[0].dst, MacAddr(2));
-        assert!(!r.deliveries[0].corrupted);
-        assert!(r.deliveries[0].at > r.tx_end);
+        let (w, ds) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(ds.len(), 1);
+        assert_eq!(ds[0].dst, MacAddr(2));
+        assert!(!ds[0].corrupted);
+        assert!(ds[0].at > w.tx_end);
     }
 
     #[test]
     fn broadcast_reaches_everyone_but_sender() {
         let mut e = net3();
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr::BROADCAST, MacAddr(1), 64));
-        let mut dsts: Vec<u16> = r.deliveries.iter().map(|d| d.dst.0).collect();
+        let (_, ds) = tx(
+            &mut e,
+            SimTime::ZERO,
+            frame(MacAddr::BROADCAST, MacAddr(1), 64),
+        );
+        let mut dsts: Vec<u16> = ds.iter().map(|d| d.dst.0).collect();
         dsts.sort_unstable();
         assert_eq!(dsts, vec![2, 3]);
     }
@@ -450,8 +429,12 @@ mod tests {
     #[test]
     fn busy_medium_defers_second_transmission() {
         let mut e = net3();
-        let a = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-        let b = e.transmit(SimTime::from_micros(10), frame(MacAddr(1), MacAddr(3), 64));
+        let (a, _) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+        let (b, _) = tx(
+            &mut e,
+            SimTime::from_micros(10),
+            frame(MacAddr(1), MacAddr(3), 64),
+        );
         assert_eq!(b.tx_start, a.tx_end, "second frame must defer");
         assert_eq!(e.stats().deferrals, 1);
     }
@@ -459,9 +442,9 @@ mod tests {
     #[test]
     fn idle_medium_transmits_immediately() {
         let mut e = net3();
-        let a = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        let (a, _) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         let later = a.tx_end + SimDuration::from_millis(1);
-        let b = e.transmit(later, frame(MacAddr(1), MacAddr(2), 64));
+        let (b, _) = tx(&mut e, later, frame(MacAddr(1), MacAddr(2), 64));
         assert_eq!(b.tx_start, later);
         assert_eq!(e.stats().deferrals, 0);
     }
@@ -470,15 +453,15 @@ mod tests {
     #[should_panic(expected = "exceeds MTU")]
     fn oversized_frame_panics() {
         let mut e = net3();
-        e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
+        tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
     }
 
     #[test]
     fn loss_plan_drops_everything() {
         let mut e = net3();
         e.set_faults(FaultPlan::with_loss(1.0));
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert!(r.deliveries.is_empty());
+        let (_, ds) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert!(ds.is_empty());
         assert_eq!(e.stats().dropped, 1);
     }
 
@@ -489,10 +472,10 @@ mod tests {
             corrupt: 1.0,
             ..FaultPlan::NONE
         });
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
-        assert!(r.deliveries[0].corrupted);
-        assert_ne!(r.deliveries[0].frame.payload, vec![0xAB; 64]);
+        let (_, ds) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(ds.len(), 1);
+        assert!(ds[0].corrupted);
+        assert_ne!(*ds[0].frame.payload, [0xAB; 64]);
     }
 
     #[test]
@@ -502,9 +485,9 @@ mod tests {
             duplicate: 1.0,
             ..FaultPlan::NONE
         });
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 2);
-        assert!(r.deliveries[1].at > r.deliveries[0].at);
+        let (_, ds) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(ds.len(), 2);
+        assert!(ds[1].at > ds[0].at);
         assert_eq!(e.stats().duplicated, 1);
     }
 
@@ -514,9 +497,13 @@ mod tests {
         e.set_collision_bug(Some(CollisionBug { corrupt_prob: 1.0 }));
         // First frame occupies the medium; second defers and must be
         // corrupted by the bug.
-        e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-        let r = e.transmit(SimTime::from_micros(5), frame(MacAddr(1), MacAddr(3), 64));
-        assert!(r.deliveries[0].corrupted);
+        tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+        let (_, ds) = tx(
+            &mut e,
+            SimTime::from_micros(5),
+            frame(MacAddr(1), MacAddr(3), 64),
+        );
+        assert!(ds[0].corrupted);
         assert_eq!(e.stats().bug_corruptions, 1);
     }
 
@@ -524,14 +511,14 @@ mod tests {
     fn collision_bug_spares_idle_transmissions() {
         let mut e = net3();
         e.set_collision_bug(Some(CollisionBug { corrupt_prob: 1.0 }));
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert!(!r.deliveries[0].corrupted);
+        let (_, ds) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert!(!ds[0].corrupted);
     }
 
     #[test]
     fn utilization_accounts_busy_time() {
         let mut e = net3();
-        e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+        tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
         let elapsed = SimDuration::from_millis(10);
         let u = e.stats().utilization(elapsed);
         assert!((u - 0.2786).abs() < 0.01, "u={u}");

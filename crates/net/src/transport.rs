@@ -57,8 +57,11 @@ impl GatewayStats {
 ///
 /// A transmission returns its transmit window and **appends** the
 /// deliveries it directly produces into a caller-owned scratch vector —
-/// the hot path of the whole simulation, so a 1000-receiver broadcast
-/// costs no per-transmit allocation beyond the frames themselves.
+/// the hot path of the whole simulation. Every clean delivery of one
+/// transmission, on every segment it reaches, shares the sender's
+/// payload buffer ([`Frame::payload`]), so a 2000-receiver broadcast
+/// costs one `Delivery` record per receiver and no byte copy; only a
+/// delivery corrupted in flight carries bytes of its own.
 /// Transports with a forwarding element (gateways) additionally
 /// accumulate *forwarded* deliveries, which callers drain with
 /// [`Transport::poll_deliveries`] after each transmit. Every delivery
@@ -185,6 +188,21 @@ impl Transport for Ethernet {
     fn set_collision_bug(&mut self, bug: Option<CollisionBug>) {
         Ethernet::set_collision_bug(self, bug);
     }
+}
+
+/// Transmits `frame` through [`Transport::transmit`] and returns the
+/// window plus the deliveries the transmission itself produced;
+/// gateway-forwarded ones stay queued for [`Transport::poll_deliveries`].
+/// The unit tests of every transport drive it through this one helper.
+#[cfg(test)]
+pub(crate) fn transmit_collect(
+    t: &mut dyn Transport,
+    ready: SimTime,
+    frame: Frame,
+) -> (TxWindow, Vec<Delivery>) {
+    let mut out = Vec::new();
+    let win = t.transmit(ready, frame, &mut out);
+    (win, out)
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
 //! Transport-conformance suite: every [`Transport`] implementation must
 //! honour the same contract — unicast delivery with positive latency,
 //! stats accounting, total loss dropping everything, duplication
-//! producing extra copies, and bit-for-bit determinism under a fixed
-//! seed. Each check runs against all four transports, including a
-//! 3-segment routed mesh whose A→B path crosses two gateways.
+//! producing extra copies, payload sharing across a broadcast's copies,
+//! and bit-for-bit determinism under a fixed seed. Each check runs
+//! against all four transports, including a 3-segment routed mesh whose
+//! A→B path crosses two gateways.
+
+use std::rc::Rc;
 
 use v_net::{
     EtherType, FaultPlan, Frame, InternetworkConfig, LinkParams, MacAddr, MeshConfig, NetworkKind,
@@ -64,11 +67,7 @@ fn unicast_reaches_the_destination_with_positive_latency() {
         assert_eq!(ds[0].dst, B, "{name}");
         assert!(ds[0].at > SimTime::ZERO, "{name}: delivery takes time");
         assert!(!ds[0].corrupted, "{name}: clean medium");
-        assert_eq!(
-            ds[0].frame.payload,
-            vec![0xA5; 100],
-            "{name}: payload intact"
-        );
+        assert_eq!(*ds[0].frame.payload, [0xA5; 100], "{name}: payload intact");
     }
 }
 
@@ -131,8 +130,7 @@ fn corruption_is_flagged_and_scrambles_or_is_dropped_in_transit() {
         for d in &ds {
             assert!(d.corrupted, "{name}: delivery must be flagged");
             assert_ne!(
-                d.frame.payload,
-                vec![0xA5; 64],
+                *d.frame.payload, [0xA5; 64],
                 "{name}: payload must be scrambled"
             );
         }
@@ -201,6 +199,39 @@ fn broadcast_crosses_the_whole_topology() {
         let ds = send(t.as_mut(), SimTime::ZERO, frame(MacAddr::BROADCAST, 64));
         assert_eq!(ds.len(), 1, "{name}: B is the only other station");
         assert_eq!(ds[0].dst, B, "{name}");
+    }
+}
+
+#[test]
+fn broadcast_copies_share_the_sent_buffer_unless_corrupted() {
+    for (name, mut t) in all_transports(16) {
+        t.set_faults(FaultPlan {
+            corrupt: 0.5,
+            ..FaultPlan::NONE
+        });
+        let sent: Rc<[u8]> = Rc::from([0xA5; 64]);
+        let (mut clean, mut corrupted) = (0, 0);
+        for i in 0..40u64 {
+            let f = Frame::new(MacAddr::BROADCAST, A, EtherType::RAW_BENCH, sent.clone());
+            for d in send(t.as_mut(), SimTime::from_millis(10 * i), f) {
+                if d.corrupted {
+                    corrupted += 1;
+                    assert!(
+                        !Rc::ptr_eq(&d.frame.payload, &sent),
+                        "{name}: a corrupted copy must have bytes of its own"
+                    );
+                } else {
+                    clean += 1;
+                    assert!(
+                        Rc::ptr_eq(&d.frame.payload, &sent),
+                        "{name}: a clean copy must share the sender's buffer"
+                    );
+                }
+            }
+        }
+        assert!(clean > 0 && corrupted > 0, "{name}: {clean}/{corrupted}");
+        assert_eq!(*sent, [0xA5; 64], "{name}: the sent bytes are unchanged");
+        assert_eq!(Rc::strong_count(&sent), 1, "{name}: no copy is retained");
     }
 }
 

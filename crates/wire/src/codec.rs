@@ -98,31 +98,32 @@ fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
 }
 
-/// Encodes a packet to its on-wire byte representation.
+/// Encodes a packet to its on-wire byte representation: header and
+/// payload written into one buffer of exactly the packet's length (one
+/// allocation per packet).
 pub fn encode(p: &Packet) -> Vec<u8> {
     let mut flags: u8 = 0;
     let (word_a, word_b, word_c): (u32, u32, u32);
-    let mut payload: Vec<u8> = Vec::new();
-
-    match &p.body {
+    // The payload is at most two slices laid end to end (message, then
+    // appended data); kinds with less leave the tail empty.
+    let payload: [&[u8]; 2] = match &p.body {
         PacketBody::Send(b) => {
             word_a = b.appended_from;
             word_b = b.appended.len() as u32;
             word_c = 0;
-            payload.extend_from_slice(&b.msg);
-            payload.extend_from_slice(&b.appended);
+            [&b.msg, &b.appended]
         }
         PacketBody::Reply(b) => {
             word_a = b.seg_dest;
             word_b = b.seg.len() as u32;
             word_c = 0;
-            payload.extend_from_slice(&b.msg);
-            payload.extend_from_slice(&b.seg);
+            [&b.msg, &b.seg]
         }
         PacketBody::ReplyPending | PacketBody::Nack => {
             word_a = 0;
             word_b = 0;
             word_c = 0;
+            [&[], &[]]
         }
         PacketBody::MoveToData(b) => {
             if b.last {
@@ -131,12 +132,13 @@ pub fn encode(p: &Packet) -> Vec<u8> {
             word_a = b.dest;
             word_b = b.offset;
             word_c = b.total;
-            payload.extend_from_slice(&b.data);
+            [&b.data, &[]]
         }
         PacketBody::MoveFromReq(b) => {
             word_a = b.src;
             word_b = b.offset;
             word_c = b.total;
+            [&[], &[]]
         }
         PacketBody::MoveFromData(b) => {
             if b.last {
@@ -145,36 +147,39 @@ pub fn encode(p: &Packet) -> Vec<u8> {
             word_a = 0;
             word_b = b.offset;
             word_c = b.total;
-            payload.extend_from_slice(&b.data);
+            [&b.data, &[]]
         }
         PacketBody::TransferAck(b) => {
             word_a = b.received;
             word_b = b.status as u32;
             word_c = 0;
+            [&[], &[]]
         }
         PacketBody::GetPidReq(b) => {
             word_a = b.logical_id;
             word_b = 0;
             word_c = 0;
+            [&[], &[]]
         }
         PacketBody::GetPidReply(b) => {
             word_a = b.logical_id;
             word_b = b.pid;
             word_c = 0;
+            [&[], &[]]
         }
         PacketBody::Forward(b) => {
             word_a = b.client;
             word_b = b.new_server;
             word_c = b.appended_from;
-            payload.extend_from_slice(&b.msg);
-            payload.extend_from_slice(&b.appended);
+            [&b.msg, &b.appended]
         }
-    }
+    };
+    let payload_len = payload[0].len() + payload[1].len();
 
     let mut header = [0u8; HEADER_LEN];
     header[0] = p.kind() as u8;
     header[1] = flags;
-    put_u16(&mut header, 2, payload.len() as u16);
+    put_u16(&mut header, 2, payload_len as u16);
     put_u32(&mut header, 4, p.seq);
     put_u32(&mut header, 8, p.src_pid);
     put_u32(&mut header, 12, p.dst_pid);
@@ -182,12 +187,13 @@ pub fn encode(p: &Packet) -> Vec<u8> {
     put_u32(&mut header, 20, word_b);
     put_u32(&mut header, 24, word_c);
     // Checksum computed with the checksum field zeroed.
-    let sum = fnv1a(&[&header, &payload]);
+    let sum = fnv1a(&[&header, payload[0], payload[1]]);
     put_u32(&mut header, 28, sum);
 
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&header);
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload[0]);
+    out.extend_from_slice(payload[1]);
     out
 }
 
@@ -475,6 +481,7 @@ mod tests {
         for p in sample_packets() {
             let bytes = encode(&p);
             assert_eq!(bytes.len(), p.wire_len());
+            assert_eq!(bytes.capacity(), bytes.len(), "one exactly-sized buffer");
             let q = decode(&bytes).unwrap_or_else(|e| panic!("{e} for {p:?}"));
             assert_eq!(p, q);
         }

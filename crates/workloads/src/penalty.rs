@@ -77,14 +77,14 @@ impl RawHandler for PenaltyInitiator {
         let target = st.target;
         drop(st);
         if done < target {
-            ctx.send_frame(self.peer, self.payload(done));
+            ctx.send_frame(self.peer, self.payload(done).into());
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn RawCtx, _token: u64) {
         // Kick-off: record the start and launch the first datagram.
         self.state.borrow_mut().started = Some(ctx.now());
-        ctx.send_frame(self.peer, self.payload(0));
+        ctx.send_frame(self.peer, self.payload(0).into());
     }
 }
 
