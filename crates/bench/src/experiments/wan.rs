@@ -12,10 +12,9 @@
 //! honest.
 
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, KernelStats};
-use v_net::{InternetworkConfig, LinkParams, MeshConfig};
+use v_net::{LinkParams, MeshConfig};
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::measure::{probe, RunReport};
-use v_workloads::mover::{Grantor, MoveDir, Mover};
 
 use crate::report::Comparison;
 
@@ -39,69 +38,13 @@ fn run_exchange(mut cl: Cluster, rounds: u64) -> (f64, Cluster) {
 }
 
 /// A client on segment 0 and a server on segment 1 of a two-segment
-/// 3 Mb internetwork.
+/// 3 Mb star.
 fn gateway_pair(speed: CpuSpeed) -> Cluster {
     Cluster::new(
-        ClusterConfig::internetwork(InternetworkConfig::two_segments())
+        ClusterConfig::mesh(MeshConfig::star(2))
             .with_host_on(speed, 0)
             .with_host_on(speed, 1),
     )
-}
-
-/// The internetwork the bulk-transfer ablation runs over: a 10 Mb
-/// ingress segment feeding a 3 Mb egress through the gateway, with a
-/// queue deep enough to hold a whole transfer's chunks. The speed
-/// mismatch makes the chunks pile up at the gateway — every serviced
-/// frame has queued same-egress successors, the regime coalescing
-/// exists for.
-fn bulk_topology() -> InternetworkConfig {
-    let mut cfg = InternetworkConfig::two_segments();
-    cfg.segments = vec![
-        v_net::NetworkKind::Standard10Mb,
-        v_net::NetworkKind::Experimental3Mb,
-    ];
-    cfg.gateway_queue = 64;
-    cfg
-}
-
-/// Mean ms per cross-gateway bulk `MoveTo` of `size` bytes, plus the
-/// gateway's coalesced-frame count. The mover (fast segment 0) pushes
-/// each transfer as back-to-back chunk packets toward the grantor
-/// (slow segment 1), so the chunks queue at the gateway. `Some(on)`
-/// builds the mesh with the flag set explicitly; `None` goes through
-/// the plain internetwork constructor, the pre-coalescing configuration
-/// the perturbation row pins against.
-fn run_bulk_move(speed: CpuSpeed, coalesce: Option<bool>, size: u32, rounds: u64) -> (f64, u64) {
-    let topo = match coalesce {
-        None => ClusterConfig::internetwork(bulk_topology()),
-        Some(on) => {
-            let mesh: MeshConfig = bulk_topology().into();
-            ClusterConfig::mesh(if on { mesh.with_coalescing() } else { mesh })
-        }
-    };
-    let mut cl = Cluster::new(topo.with_host_on(speed, 0).with_host_on(speed, 1));
-    let rep = probe(RunReport::default());
-    let mover = cl.spawn(
-        HostId(0),
-        "mover",
-        Box::new(Mover::new(rounds, size, MoveDir::To, 0x5A, rep.clone())),
-    );
-    cl.spawn(
-        HostId(1),
-        "grantor",
-        Box::new(Grantor {
-            mover,
-            size,
-            pattern: 0x5A,
-            dir: MoveDir::To,
-            report: rep.clone(),
-        }),
-    );
-    cl.run();
-    let r = rep.borrow().clone();
-    assert!(r.clean(), "bulk move loop failed: {r:?}");
-    let coalesced = cl.gateway_stats_total().map_or(0, |g| g.coalesced);
-    (r.per_op_ms(), coalesced)
 }
 
 /// The WAN/internetwork table with the full round count.
@@ -134,30 +77,6 @@ pub fn wan_with_rounds(rounds: u64) -> Comparison {
     c.push_ours("page read 512 B, across gateway", read_gw, "ms");
     c.push_ours("page read added hop latency", read_gw - read_seg, "ms");
 
-    // Gateway frame coalescing ablation: a 16 KB cross-gateway MoveTo
-    // queues its chunk packets at the gateway; with coalescing the
-    // queued same-egress chunks share one forwarding charge per burst.
-    // The off arm must reproduce the plain internetwork numbers to the
-    // bit (the calibration suite pins the perturbation row to 0.0).
-    let bulk_rounds = (rounds / 10).max(4);
-    let (bulk_base, _) = run_bulk_move(speed, None, 16 * 1024, bulk_rounds);
-    let (bulk_off, off_coalesced) = run_bulk_move(speed, Some(false), 16 * 1024, bulk_rounds);
-    let (bulk_on, on_coalesced) = run_bulk_move(speed, Some(true), 16 * 1024, bulk_rounds);
-    c.push_ours(
-        "bulk 16 KB MoveTo across gateway, coalescing off",
-        bulk_off,
-        "ms",
-    );
-    c.push_ours(
-        "bulk 16 KB MoveTo across gateway, coalescing on",
-        bulk_on,
-        "ms",
-    );
-    c.push_ours("coalescing-off perturbation", bulk_off - bulk_base, "ms");
-    c.push_ours("coalescing speedup", bulk_off / bulk_on, "x");
-    c.push_ours("frames coalesced, off", off_coalesced as f64, "frames");
-    c.push_ours("frames coalesced, on", on_coalesced as f64, "frames");
-
     // A clean long-haul link: distance dominates everything.
     let clean = ClusterConfig::wan(LinkParams::T1).with_hosts(2, speed);
     let (wan_ms, _) = run_exchange(Cluster::new(clean), rounds);
@@ -177,8 +96,6 @@ pub fn wan_with_rounds(rounds: u64) -> Comparison {
     );
 
     c.note("gateway: store-and-forward host joining two 3 Mb segments, bounded 8-frame queue");
-    c.note("coalescing: queued same-egress frames at a gateway share one 300 µs forwarding charge");
-    c.note("bulk rows: 10 Mb ingress feeding a 3 Mb egress, 64-frame queue — chunks pile up at the gateway");
     c.note("WAN: full-duplex 1.544 Mb/s link, 30 ms propagation each way");
     c.note("no paper counterpart — the 1983 evaluation never leaves one segment");
     c

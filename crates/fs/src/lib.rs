@@ -6,11 +6,10 @@
 //! that arrangement, built — as the paper insists — *on top of* the
 //! general-purpose V IPC rather than a specialized protocol:
 //!
-//! * [`disk`] — the disk model (per-request positioning latency +
-//!   transfer time) standing in for the file server's spindles; a
-//!   [`DiskParams`]-built unit stripes blocks over several independent
-//!   arms ([`FileServerConfig::disk_arms`]) so concurrent requests
-//!   overlap their seeks;
+//! * [`disk`] — the disk model (per-request access latency + transfer
+//!   time) standing in for the file server's spindles; a unit stripes
+//!   blocks over [`FileServerConfig::disk_arms`] independent arms so
+//!   concurrent requests overlap their seeks;
 //! * [`store`] — an in-memory block store with a flat directory
 //!   (create/lookup/read/write), the server's cache+filesystem state;
 //! * [`proto`] — the Verex-style I/O protocol: file requests and replies
@@ -70,7 +69,7 @@ pub mod team;
 
 pub use cache::{spawn_caching_client, BlockCache, CacheConfig, CacheMode, CacheStats};
 pub use client::ShardedFsClient;
-pub use disk::{DiskModel, DiskParams, DiskStats};
+pub use disk::{DiskModel, DiskStats};
 pub use migrate::{spawn_shard_service, ShardService};
 pub use proto::{IoReply, IoRequest, IoStatus};
 pub use rebalance::{

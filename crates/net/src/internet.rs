@@ -72,15 +72,6 @@ pub struct MeshConfig {
     pub gateway_queue: usize,
     /// Per-frame store-and-forward processing delay at each gateway.
     pub forward_delay: SimDuration,
-    /// Frame coalescing: when a frame is already **queued** behind the
-    /// forwarding engine and bound for the same egress segment as the
-    /// frame the engine just handled, the gateway batches its header
-    /// processing with the predecessor's and skips the per-frame
-    /// [`MeshConfig::forward_delay`] charge (the route lookup and egress
-    /// setup were just done; a real gateway keeps them hot). Off by
-    /// default — the uncoalesced mesh is the calibrated baseline, and
-    /// every existing topology must stay bit-identical.
-    pub coalesce: bool,
 }
 
 impl MeshConfig {
@@ -96,15 +87,7 @@ impl MeshConfig {
             gateways,
             gateway_queue: Self::DEFAULT_QUEUE,
             forward_delay: Self::DEFAULT_FORWARD_DELAY,
-            coalesce: false,
         }
-    }
-
-    /// The same topology with gateway frame coalescing enabled
-    /// ([`MeshConfig::coalesce`]).
-    pub fn with_coalescing(mut self) -> MeshConfig {
-        self.coalesce = true;
-        self
     }
 
     /// `n` 3 Mb segments joined in a chain by `n - 1` gateways (gateway
@@ -124,49 +107,11 @@ impl MeshConfig {
         MeshConfig::uniform(n, (0..n).map(|i| vec![i, (i + 1) % n]).collect())
     }
 
-    /// `n` 3 Mb segments behind one hub gateway bridging all of them —
-    /// the PR 3 single-gateway star, as a mesh.
+    /// `n` 3 Mb segments behind one hub gateway bridging all of them:
+    /// the single-gateway star.
     pub fn star(n: usize) -> MeshConfig {
         assert!(n >= 2, "a star mesh needs at least two segments");
         MeshConfig::uniform(n, vec![(0..n).collect()])
-    }
-}
-
-/// Configuration of the single-gateway internetwork star (the PR 3
-/// topology, kept as a convenience shorthand for [`MeshConfig::star`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InternetworkConfig {
-    /// The medium flavour of each segment (index = segment number).
-    pub segments: Vec<NetworkKind>,
-    /// Bounded gateway queue: frames arriving while this many are
-    /// already waiting are dropped.
-    pub gateway_queue: usize,
-    /// Per-frame store-and-forward processing delay at the gateway.
-    pub forward_delay: SimDuration,
-}
-
-impl InternetworkConfig {
-    /// Two 3 Mb segments behind a gateway with an 8-frame queue and a
-    /// 300 µs per-frame forwarding cost.
-    pub fn two_segments() -> InternetworkConfig {
-        InternetworkConfig {
-            segments: vec![NetworkKind::Experimental3Mb; 2],
-            gateway_queue: MeshConfig::DEFAULT_QUEUE,
-            forward_delay: MeshConfig::DEFAULT_FORWARD_DELAY,
-        }
-    }
-}
-
-impl From<InternetworkConfig> for MeshConfig {
-    /// A star: one gateway bridging every segment.
-    fn from(cfg: InternetworkConfig) -> MeshConfig {
-        MeshConfig {
-            gateways: vec![(0..cfg.segments.len()).collect()],
-            segments: cfg.segments,
-            gateway_queue: cfg.gateway_queue,
-            forward_delay: cfg.forward_delay,
-            coalesce: false,
-        }
     }
 }
 
@@ -186,10 +131,6 @@ struct Gateway {
     /// Service-start times of accepted frames still queued or in
     /// service; entries whose start is past are purged lazily.
     backlog: Vec<SimTime>,
-    /// Egress segment of the last frame forwarded, for
-    /// [`MeshConfig::coalesce`]: a queued successor bound the same way
-    /// batches its header processing with this one.
-    last_egress: Option<usize>,
     stats: GatewayStats,
 }
 
@@ -234,8 +175,7 @@ impl Internetwork {
     /// bridging fewer than two distinct segments or naming a segment
     /// that does not exist, more gateways than the reserved address
     /// range holds, or a segment graph that is not connected.
-    pub fn new(cfg: impl Into<MeshConfig>, seed: u64) -> Internetwork {
-        let cfg: MeshConfig = cfg.into();
+    pub fn new(cfg: MeshConfig, seed: u64) -> Internetwork {
         let n = cfg.segments.len();
         assert!(n >= 2, "a mesh needs at least two segments");
         assert!(cfg.gateway_queue > 0, "gateway queue must hold ≥ 1 frame");
@@ -278,7 +218,6 @@ impl Internetwork {
                 alive: true,
                 free: SimTime::ZERO,
                 backlog: Vec::new(),
-                last_egress: None,
                 stats: GatewayStats::default(),
             });
         }
@@ -383,22 +322,13 @@ impl Internetwork {
             let Some(start) = self.admit(g, at) else {
                 break;
             };
-            // Coalescing: a frame that *queued* behind the engine
-            // (start > at) and leaves on the same egress segment as its
-            // predecessor shares that predecessor's header-processing
-            // charge — the route lookup is still hot.
-            let coalesce =
-                self.cfg.coalesce && start > at && self.gateways[g].last_egress == Some(egress);
-            let cursor = if coalesce {
-                self.gateways[g].stats.coalesced += 1;
-                start
-            } else {
-                start + self.cfg.forward_delay
-            };
             buf.clear();
-            let win = self.segments[egress].transmit_into(cursor, frame.clone(), &mut buf);
+            let win = self.segments[egress].transmit_into(
+                start + self.cfg.forward_delay,
+                frame.clone(),
+                &mut buf,
+            );
             self.gateways[g].free = win.tx_end;
-            self.gateways[g].last_egress = Some(egress);
             self.gateways[g].stats.forwarded += 1;
 
             if egress == dest_seg {
@@ -479,7 +409,6 @@ impl Internetwork {
                 let win = self.segments[e].transmit_into(cursor, frame.clone(), &mut buf);
                 cursor = win.tx_end;
                 self.gateways[g].free = win.tx_end;
-                self.gateways[g].last_egress = Some(e);
                 self.gateways[g].stats.forwarded += 1;
                 for d in buf.drain(..) {
                     match self.gateway_index(d.dst) {
@@ -694,7 +623,6 @@ impl Transport for Internetwork {
             Some(gw) if gw.alive => {
                 gw.alive = false;
                 gw.backlog.clear(); // queued frames die with the gateway
-                gw.last_egress = None; // a restarted engine has cold state
                 self.recompute_routes();
                 true
             }
@@ -725,9 +653,9 @@ mod tests {
     }
 
     /// Star of two segments: station 1 on segment 0, stations 2 and 3
-    /// on 1 — the PR 3 topology.
+    /// on 1.
     fn star() -> Internetwork {
-        let mut n = Internetwork::new(InternetworkConfig::two_segments(), 42);
+        let mut n = Internetwork::new(MeshConfig::star(2), 42);
         n.attach(MacAddr(1), 0);
         n.attach(MacAddr(2), 1);
         n.attach(MacAddr(3), 1);
@@ -861,7 +789,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_drops_bursts() {
-        let mut cfg: MeshConfig = InternetworkConfig::two_segments().into();
+        let mut cfg = MeshConfig::star(2);
         cfg.gateway_queue = 1;
         let mut n = Internetwork::new(cfg, 9);
         n.attach(MacAddr(1), 0);
@@ -977,7 +905,7 @@ mod tests {
     fn attach_past_256_stations_routes_and_floods() {
         // The PR 4 station table was a fixed `[u16; 256]`; the growable
         // table must carry addresses past the old 8-bit ceiling.
-        let mut n = Internetwork::new(InternetworkConfig::two_segments(), 13);
+        let mut n = Internetwork::new(MeshConfig::star(2), 13);
         for i in 0..300u16 {
             n.attach(MacAddr(1 + i), (i % 2) as usize);
         }
@@ -996,72 +924,6 @@ mod tests {
         );
         let flooded = polled(&mut n);
         assert_eq!(r.len() + flooded.len(), 299);
-    }
-
-    #[test]
-    fn coalescing_batches_a_queued_same_egress_burst() {
-        let run = |coalesce: bool| {
-            let mut cfg: MeshConfig = InternetworkConfig::two_segments().into();
-            cfg.coalesce = coalesce;
-            let mut n = Internetwork::new(cfg, 21);
-            n.attach(MacAddr(1), 0);
-            n.attach(MacAddr(2), 1);
-            for _ in 0..4 {
-                tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-            }
-            let mut fwd = polled(&mut n);
-            fwd.sort_by_key(|d| d.at);
-            (fwd.last().unwrap().at, fwd.len(), total(&n))
-        };
-        let (last_off, count_off, st_off) = run(false);
-        let (last_on, count_on, st_on) = run(true);
-        assert_eq!(st_off.coalesced, 0, "off never coalesces");
-        assert_eq!(count_on, count_off, "coalescing drops nothing");
-        assert!(
-            st_on.coalesced >= 2,
-            "queued successors bound the same way must batch: {st_on:?}"
-        );
-        assert!(
-            last_on < last_off,
-            "batched headers drain the queue sooner: {last_on:?} vs {last_off:?}"
-        );
-    }
-
-    #[test]
-    fn single_frame_is_never_coalesced() {
-        // An unqueued frame has no predecessor to batch with: its
-        // delivery time must match the uncoalesced mesh exactly.
-        let run = |coalesce: bool| {
-            let mut cfg: MeshConfig = InternetworkConfig::two_segments().into();
-            cfg.coalesce = coalesce;
-            let mut n = Internetwork::new(cfg, 5);
-            n.attach(MacAddr(1), 0);
-            n.attach(MacAddr(2), 1);
-            tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-            (polled(&mut n)[0].at, total(&n).coalesced)
-        };
-        let (at_off, _) = run(false);
-        let (at_on, coalesced_on) = run(true);
-        assert_eq!(at_on, at_off, "no queue, no coalescing, same latency");
-        assert_eq!(coalesced_on, 0);
-    }
-
-    #[test]
-    fn alternating_egress_does_not_coalesce() {
-        // Same gateway, egress flipping every frame: the header state is
-        // never hot for the successor, so every forward pays in full.
-        let cfg = MeshConfig::star(3).with_coalescing();
-        let mut n = Internetwork::new(cfg, 33);
-        n.attach(MacAddr(1), 0);
-        n.attach(MacAddr(2), 1);
-        n.attach(MacAddr(3), 2);
-        for _ in 0..3 {
-            tx(&mut n, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-            tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 1024));
-        }
-        let st = total(&n);
-        assert!(st.forwarded > 0);
-        assert_eq!(st.coalesced, 0, "egress alternates every frame");
     }
 
     #[test]
@@ -1088,7 +950,6 @@ mod tests {
             gateways: vec![vec![0, 1], vec![2, 3]],
             gateway_queue: 8,
             forward_delay: SimDuration::from_micros(300),
-            coalesce: false,
         };
         Internetwork::new(cfg, 1);
     }
@@ -1101,7 +962,6 @@ mod tests {
             gateways: vec![vec![1, 1]],
             gateway_queue: 8,
             forward_delay: SimDuration::from_micros(300),
-            coalesce: false,
         };
         Internetwork::new(cfg, 1);
     }

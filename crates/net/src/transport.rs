@@ -11,7 +11,7 @@ use v_sim::SimTime;
 
 use crate::fault::FaultPlan;
 use crate::frame::{Frame, MacAddr};
-use crate::internet::{Internetwork, InternetworkConfig, MeshConfig};
+use crate::internet::{Internetwork, MeshConfig};
 use crate::link::{LinkParams, PointToPointLink};
 use crate::medium::{CollisionBug, Delivery, Ethernet, MediumStats, NetworkKind, TxWindow};
 
@@ -27,10 +27,6 @@ pub struct GatewayStats {
     pub corrupt_drops: u64,
     /// Largest number of frames ever waiting in the queue at once.
     pub max_queue: usize,
-    /// Forwards that skipped the per-frame processing delay because the
-    /// frame was queued behind another bound for the same egress segment
-    /// (batched header processing — [`MeshConfig::coalesce`]).
-    pub coalesced: u64,
 }
 
 impl GatewayStats {
@@ -43,13 +39,11 @@ impl GatewayStats {
             queue_drops,
             corrupt_drops,
             max_queue,
-            coalesced,
         } = *o;
         self.forwarded += forwarded;
         self.queue_drops += queue_drops;
         self.corrupt_drops += corrupt_drops;
         self.max_queue = self.max_queue.max(max_queue);
-        self.coalesced += coalesced;
     }
 }
 
@@ -133,11 +127,9 @@ pub enum Topology {
     SingleSegment(NetworkKind),
     /// A point-to-point WAN link between exactly two stations.
     PointToPoint(LinkParams),
-    /// Ethernet segments joined by one store-and-forward gateway (a
-    /// star — shorthand for a one-gateway [`Topology::Mesh`]).
-    Internetwork(InternetworkConfig),
     /// Ethernet segments joined by a routed mesh of explicitly-placed
-    /// gateways.
+    /// store-and-forward gateways ([`MeshConfig::star`] is the
+    /// one-gateway case).
     Mesh(MeshConfig),
 }
 
@@ -147,7 +139,6 @@ impl Topology {
         match self {
             Topology::SingleSegment(kind) => Box::new(Ethernet::for_kind(*kind, seed)),
             Topology::PointToPoint(params) => Box::new(PointToPointLink::new(*params, seed)),
-            Topology::Internetwork(cfg) => Box::new(Internetwork::new(cfg.clone(), seed)),
             Topology::Mesh(cfg) => Box::new(Internetwork::new(cfg.clone(), seed)),
         }
     }
@@ -156,7 +147,6 @@ impl Topology {
     pub fn num_segments(&self) -> usize {
         match self {
             Topology::SingleSegment(_) | Topology::PointToPoint(_) => 1,
-            Topology::Internetwork(cfg) => cfg.segments.len(),
             Topology::Mesh(cfg) => cfg.segments.len(),
         }
     }

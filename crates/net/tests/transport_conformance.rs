@@ -9,8 +9,7 @@
 use std::rc::Rc;
 
 use v_net::{
-    EtherType, FaultPlan, Frame, InternetworkConfig, LinkParams, MacAddr, MeshConfig, NetworkKind,
-    Topology, Transport,
+    EtherType, FaultPlan, Frame, LinkParams, MacAddr, MeshConfig, NetworkKind, Topology, Transport,
 };
 use v_sim::{SimDuration, SimTime};
 
@@ -18,8 +17,8 @@ const A: MacAddr = MacAddr(1);
 const B: MacAddr = MacAddr(2);
 
 /// Every topology under test, with stations A and B attached so that a
-/// frame from A to B must cross the whole thing (for the internetwork
-/// that means crossing the gateway; for the mesh, two gateways).
+/// frame from A to B must cross the whole thing (for the star that
+/// means crossing its one gateway; for the line, two gateways).
 fn all_transports(seed: u64) -> Vec<(&'static str, Box<dyn Transport>)> {
     let mut out: Vec<(&'static str, Box<dyn Transport>)> = Vec::new();
     let topologies = [
@@ -28,10 +27,7 @@ fn all_transports(seed: u64) -> Vec<(&'static str, Box<dyn Transport>)> {
             Topology::SingleSegment(NetworkKind::Experimental3Mb),
         ),
         ("point-to-point", Topology::PointToPoint(LinkParams::T1)),
-        (
-            "internetwork",
-            Topology::Internetwork(InternetworkConfig::two_segments()),
-        ),
+        ("mesh-2seg-star", Topology::Mesh(MeshConfig::star(2))),
         ("mesh-3seg-line", Topology::Mesh(MeshConfig::line(3))),
     ];
     for (name, topo) in topologies {
@@ -246,11 +242,11 @@ fn mtu_is_at_least_a_kernel_page_exchange() {
 
 #[test]
 fn internetwork_gateway_reports_forwarding_stats() {
-    let mut t = Topology::Internetwork(InternetworkConfig::two_segments()).build(10);
+    let mut t = Topology::Mesh(MeshConfig::star(2)).build(10);
     t.attach(A, 0);
     t.attach(B, 1);
     send(t.as_mut(), SimTime::ZERO, frame(B, 64));
-    let g = t.gateway_stats().expect("internetwork has a gateway");
+    let g = t.gateway_stats().expect("the star has a gateway");
     assert_eq!(g.forwarded, 1);
     assert_eq!(g.queue_drops, 0);
 
