@@ -13,7 +13,7 @@
 //!     16     4  word_a       kind-specific
 //!     20     4  word_b       kind-specific
 //!     24     4  word_c       kind-specific
-//!     28     4  checksum     (FNV-1a over header-with-zeroed-checksum ++ payload)
+//!     28     4  checksum     ([`checksum`] over header ++ payload, this field as zero)
 //!     32     …  payload
 //! ```
 //!
@@ -70,16 +70,65 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a, 32-bit.
-fn fnv1a(parts: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
+/// Byte offset of the checksum field in the header.
+const CHECKSUM_AT: usize = 28;
+
+/// Multipliers of the two checksum lanes (odd, so each multiply is a
+/// bijection of the 32-bit lane state).
+const K_A: u32 = 0x9E37_79B1;
+const K_B: u32 = 0x85EB_CA77;
+
+/// One checksum step: mixes `word` into `lane`. For a fixed `word` the
+/// step is a bijection of the lane state, and for a fixed state it is a
+/// bijection of the word.
+fn step(lane: u32, word: u32, k: u32) -> u32 {
+    (lane ^ word).wrapping_mul(k).rotate_left(15)
+}
+
+/// The packet checksum of an encoded frame, reading its checksum field
+/// (bytes 28..32 of a frame at least [`HEADER_LEN`] long) as zero, so it
+/// gives the same value before and after [`encode`] patches the field in.
+///
+/// Two independent 32-bit lanes take the frame's aligned 4-byte words
+/// in turn (even words to lane A, odd words to lane B), each step being
+/// `(lane ^ word) * K` rotated. A final partial word is zero-padded and
+/// carries the tail length in its top byte. The lanes combine as
+/// `a ^ b.rotate_left(16)`.
+///
+/// Every step is a bijection of its lane's state and the combine is a
+/// bijection in each lane, so any change confined to one aligned 4-byte
+/// word — every single-byte corruption among them — always changes the
+/// checksum. A scramble spanning several words slips through only on a
+/// 32-bit collision.
+pub fn checksum(frame: &[u8]) -> u32 {
+    // The checksum field is the odd (lane B) word of this 8-byte pair.
+    const SUM_PAIR: usize = CHECKSUM_AT / 8;
+    let (mut a, mut b) = (0x2545_F491u32, 0x6C07_8965u32);
+    let mut pairs = frame.chunks_exact(8);
+    for (i, pair) in pairs.by_ref().enumerate() {
+        a = step(a, get_u32(pair, 0), K_A);
+        let odd = if i == SUM_PAIR { 0 } else { get_u32(pair, 4) };
+        b = step(b, odd, K_B);
+    }
+    let mut rest = pairs.remainder();
+    let mut lane_b = false;
+    if rest.len() >= 4 {
+        a = step(a, get_u32(rest, 0), K_A);
+        rest = &rest[4..];
+        lane_b = true;
+    }
+    if !rest.is_empty() {
+        let mut tail = [0u8; 4];
+        tail[..rest.len()].copy_from_slice(rest);
+        tail[3] = rest.len() as u8;
+        let tail = u32::from_le_bytes(tail);
+        if lane_b {
+            b = step(b, tail, K_B);
+        } else {
+            a = step(a, tail, K_A);
         }
     }
-    h
+    a ^ b.rotate_left(16)
 }
 
 fn put_u16(buf: &mut [u8], off: usize, v: u16) {
@@ -186,14 +235,15 @@ pub fn encode(p: &Packet) -> Vec<u8> {
     put_u32(&mut header, 16, word_a);
     put_u32(&mut header, 20, word_b);
     put_u32(&mut header, 24, word_c);
-    // Checksum computed with the checksum field zeroed.
-    let sum = fnv1a(&[&header, payload[0], payload[1]]);
-    put_u32(&mut header, 28, sum);
 
+    // Header (checksum field still zero) and payload go into the one
+    // buffer, which is then checksummed once and patched.
     let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&header);
     out.extend_from_slice(payload[0]);
     out.extend_from_slice(payload[1]);
+    let sum = checksum(&out);
+    put_u32(&mut out, CHECKSUM_AT, sum);
     out
 }
 
@@ -214,11 +264,7 @@ pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
         });
     }
 
-    let stored_sum = get_u32(header, 28);
-    let mut zeroed = [0u8; HEADER_LEN];
-    zeroed.copy_from_slice(header);
-    put_u32(&mut zeroed, 28, 0);
-    if fnv1a(&[&zeroed, payload]) != stored_sum {
+    if checksum(bytes) != get_u32(header, CHECKSUM_AT) {
         return Err(WireError::BadChecksum);
     }
 
@@ -504,6 +550,75 @@ mod tests {
         }
     }
 
+    /// One packet of every kind, each encoded; the 512 B `Send` and the
+    /// `Reply` with an odd 3-byte segment are among them.
+    fn one_of_each_kind() -> Vec<Vec<u8>> {
+        let mut seen = Vec::new();
+        let mut frames = Vec::new();
+        for p in sample_packets() {
+            if !seen.contains(&p.kind()) {
+                seen.push(p.kind());
+                frames.push(encode(&p));
+            }
+        }
+        assert_eq!(seen.len(), 11, "every packet kind is covered");
+        frames
+    }
+
+    #[test]
+    fn every_single_byte_corruption_is_rejected() {
+        for bytes in one_of_each_kind() {
+            let mut bad = bytes.clone();
+            for victim in 0..bytes.len() {
+                for flip in 1..=255u8 {
+                    bad[victim] ^= flip;
+                    assert!(
+                        decode(&bad).is_err(),
+                        "flip {flip:#04x} at byte {victim} of {} accepted",
+                        bytes.len()
+                    );
+                    bad[victim] ^= flip;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_corruption_within_one_aligned_word_is_rejected() {
+        // Fixed masks over two, three and four bytes of the word (single
+        // bytes are the test above), plus pseudo-random ones; a mask with
+        // no bit inside a short tail word is skipped.
+        let mut masks = vec![0x8000_0001u32, 0x00FF_FF00, 0x0001_0101, 0xFFFF_FFFF];
+        let mut x: u32 = 0x1234_5678;
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            masks.push(x);
+        }
+        for bytes in one_of_each_kind() {
+            let mut bad = bytes.clone();
+            for start in (0..bytes.len()).step_by(4) {
+                let end = (start + 4).min(bytes.len());
+                for &mask in &masks {
+                    let mask = mask.to_le_bytes();
+                    if mask[..end - start].iter().all(|&m| m == 0) {
+                        continue;
+                    }
+                    for (b, m) in bad[start..end].iter_mut().zip(mask) {
+                        *b ^= m;
+                    }
+                    assert!(
+                        decode(&bad).is_err(),
+                        "mask {mask:02x?} on word at {start} of {} accepted",
+                        bytes.len()
+                    );
+                    bad[start..end].copy_from_slice(&bytes[start..end]);
+                }
+            }
+        }
+    }
+
     #[test]
     fn truncated_header_rejected() {
         assert_eq!(decode(&[0u8; 10]), Err(WireError::TooShort));
@@ -524,11 +639,10 @@ mod tests {
         let mut header = [0u8; HEADER_LEN];
         header[0] = PacketKind::Send as u8;
         put_u16(&mut header, 2, 4);
-        let payload = [1u8, 2, 3, 4];
-        let sum = fnv1a(&[&header, &payload]);
-        put_u32(&mut header, 28, sum);
         let mut bytes = header.to_vec();
-        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&[1u8, 2, 3, 4]);
+        let sum = checksum(&bytes);
+        put_u32(&mut bytes, CHECKSUM_AT, sum);
         assert_eq!(decode(&bytes), Err(WireError::Malformed));
     }
 

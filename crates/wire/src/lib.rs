@@ -15,14 +15,19 @@
 //!   transfer (`MoveToData`, `MoveFromReq`, `MoveFromData`, `TransferAck`)
 //!   and naming (`GetPidReq`, `GetPidReply`) — decoded exactly once, so
 //!   kernel handlers consume structs rather than loose header words;
-//! * a 32-bit checksum over the whole packet, which is how receivers
-//!   detect the corruption injected by the simulated medium (including the
-//!   §5.4 collision-bug corruptions).
+//! * a 32-bit word-wide [`checksum`] over the whole packet, which is how
+//!   receivers detect the corruption injected by the simulated medium
+//!   (including the §5.4 collision-bug corruptions). Two lanes of
+//!   bijective multiply-rotate steps take alternate aligned 4-byte words,
+//!   so any corruption confined to one word — every single-byte flip —
+//!   is always detected; a wider scramble slips through only on a 32-bit
+//!   collision. The medium's link-level CRC is charged into its fixed per-frame
+//!   latency, so this checksum is engine cost only, never simulated time.
 
 pub mod codec;
 pub mod packet;
 
-pub use codec::{decode, encode, WireError};
+pub use codec::{checksum, decode, encode, WireError};
 pub use packet::{
     ForwardBody, GetPidReply, GetPidReq, MoveFromData, MoveFromReq, MoveToData, MsgBytes, Packet,
     PacketBody, PacketKind, ReplyBody, SendBody, TransferAck, TransferStatus, HEADER_LEN, MSG_LEN,

@@ -6,29 +6,15 @@
 
 use proptest::prelude::*;
 use v_wire::{
-    decode, encode, ForwardBody, Packet, PacketBody, SendBody, WireError, HEADER_LEN, MSG_LEN,
+    checksum, decode, encode, ForwardBody, Packet, PacketBody, SendBody, WireError, HEADER_LEN,
+    MSG_LEN,
 };
-
-/// FNV-1a 32-bit, restated from the wire format spec so tests can forge
-/// "valid checksum, invalid body" packets that exercise body parsing.
-fn fnv1a(parts: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h
-}
 
 /// Rewrites the checksum field so a hand-mutated packet passes the
 /// integrity check and reaches the kind/body parsing stages.
 fn fix_checksum(bytes: &mut [u8]) {
-    let (header, payload) = bytes.split_at_mut(HEADER_LEN);
-    header[28..32].fill(0);
-    let sum = fnv1a(&[header, payload]);
-    header[28..32].copy_from_slice(&sum.to_le_bytes());
+    let sum = checksum(bytes);
+    bytes[28..32].copy_from_slice(&sum.to_le_bytes());
 }
 
 fn sample_send() -> Packet {
